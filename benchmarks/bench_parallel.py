@@ -1,11 +1,10 @@
-"""Parallel/batched trajectory engine vs the legacy serial loop.
+"""The chunked trajectory engine inline and on worker pools.
 
-Pytest benchmarks compare the per-trajectory serial loop against the
-chunked engine (``n_jobs=1`` — batched kernels, no pool) and the pooled
-paths on the workloads the engine was built for.  Running the module as
-a script reproduces the headline measurement — a 1000-trajectory noisy
-brickwork simulation — and writes ``BENCH_parallel.json`` at the
-repository root:
+Pytest benchmarks time the engine inline (``n_jobs=1`` — batched
+kernels, no pool) and pooled on the workloads it was built for.  Running
+the module as a script reproduces the headline measurement — a
+1000-trajectory noisy brickwork simulation — and writes
+``BENCH_parallel.json`` at the repository root:
 
     PYTHONPATH=src python benchmarks/bench_parallel.py [--quick]
 
@@ -34,13 +33,6 @@ def _workload(num_qubits=8, depth=12, seed=7):
     circuit = random_circuits.brickwork_circuit(num_qubits, depth, seed=seed)
     noise = NoiseModel.uniform_depolarizing(0.01, 0.02)
     return circuit, noise
-
-
-def test_trajectories_legacy_serial(benchmark):
-    circuit, noise = _workload(depth=4)
-    benchmark(
-        lambda: TrajectorySimulator(noise, seed=11)._run_serial(circuit, 100)
-    )
 
 
 def test_trajectories_batched_engine(benchmark):
@@ -79,12 +71,12 @@ def run_headline(
     depth: int = 12,
     trajectories: int = 1000,
 ):
-    """The ISSUE-4 acceptance measurement, as a machine-readable record.
+    """The headline measurement, as a machine-readable record.
 
-    Wall-clock seconds for the legacy serial loop and the engine at
-    ``n_jobs`` in {1, 2, 4} on the same seeded workload, plus the
-    bitwise-identity certificate for the seeded parallel outputs.  Pool
-    timings include worker spawn — the engine pays it honestly.
+    Wall-clock seconds for the engine at ``n_jobs`` in {1, 2, 4} on the
+    same seeded workload, plus the bitwise-identity certificate for the
+    seeded outputs.  Pool timings include worker spawn — the engine pays
+    it honestly.
     """
     circuit, noise = _workload(num_qubits, depth)
 
@@ -93,13 +85,7 @@ def run_headline(
             circuit, trajectories=trajectories, n_jobs=jobs
         )
 
-    seconds = {
-        "serial_legacy": _time_once(
-            lambda: TrajectorySimulator(noise, seed=11)._run_serial(
-                circuit, trajectories
-            )
-        )
-    }
+    seconds = {}
     results = {}
     for jobs in (1, 2, 4):
         seconds[f"n_jobs={jobs}"] = _time_once(
@@ -108,11 +94,6 @@ def run_headline(
     identical = bool(
         np.array_equal(results[1].probs, results[4].probs)
         and np.array_equal(results[1].probs, results[2].probs)
-    )
-    serial_probs = (
-        TrajectorySimulator(noise, seed=11)
-        ._run_serial(circuit, trajectories)
-        .probs
     )
     return {
         "workload": {
@@ -125,21 +106,10 @@ def run_headline(
         },
         "cpu_count": os.cpu_count(),
         "seconds": seconds,
-        "speedup_njobs4_vs_serial": (
-            seconds["serial_legacy"] / seconds["n_jobs=4"]
-        ),
-        "speedup_njobs1_vs_serial": (
-            seconds["serial_legacy"] / seconds["n_jobs=1"]
-        ),
         "outputs_identical_njobs_1_2_4": identical,
-        "max_prob_diff_engine_vs_legacy": float(
-            np.max(np.abs(results[1].probs - serial_probs))
-        ),
         "note": (
             "engine chunks are executed by the batched vectorized kernel "
-            "(repro.arrays.batched), so the speedup holds even on a "
-            "single core; worker processes multiply it on multi-core "
-            "machines"
+            "(repro.arrays.batched); pooled timings include worker spawn"
         ),
     }
 
@@ -158,12 +128,8 @@ def main() -> None:
     out = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
-    speedup = result["speedup_njobs4_vs_serial"]
-    print(f"\nn_jobs=4 speedup over the serial loop: {speedup:.2f}x")
     if not result["outputs_identical_njobs_1_2_4"]:
         raise SystemExit("FAIL: seeded engine outputs differ across n_jobs")
-    if speedup < 2.0:
-        raise SystemExit("FAIL: expected >= 2x speedup at n_jobs=4")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Batched (vectorized) stochastic-trajectory execution.
 
-This is the chunk executor behind ``TrajectorySimulator.run(n_jobs=...)``:
-a whole chunk of Monte-Carlo trajectories is simulated *simultaneously*
+This is the chunk executor behind ``TrajectorySimulator.run``: a whole
+chunk of Monte-Carlo trajectories is simulated *simultaneously*
 as one ``(2**n, batch)`` array — the state axis leads and the batch axis
 trails, which is exactly the layout the gate kernels in
 :mod:`repro.arrays.kernels` already support ("any number of trailing
@@ -105,11 +105,11 @@ def sample_kraus_batched(
 ) -> np.ndarray:
     """Pick and apply one Kraus branch per trajectory, in place.
 
-    Mirrors the serial sampler: branch weights come from the reduced
-    density matrices (no ``K_i |psi>`` materialized per branch), the
-    uniform draw is scaled by ``tr(rho)``, and only the chosen operator
-    is applied — grouped over trajectories that picked the same branch.
-    One ``(batch,)`` vector of uniforms is consumed per call.
+    Branch weights come from the reduced density matrices (no
+    ``K_i |psi>`` materialized per branch), the uniform draw is scaled
+    by ``tr(rho)``, and only the chosen operator is applied — grouped
+    over trajectories that picked the same branch.  One ``(batch,)``
+    vector of uniforms is consumed per call.
     """
     batch = states.shape[1]
     rho = batched_reduced_density_matrices(states, targets, num_qubits)

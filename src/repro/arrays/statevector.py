@@ -29,29 +29,8 @@ from . import kernels
 
 METHODS = ("einsum", "gather")
 
-AUTO_METHOD = "auto"
-"""Resolve the kernel per circuit width from the runtime autotuner."""
-
 _DEADLINE_CHECK_INTERVAL = 16
 """Operations between wall-clock budget checks in the gate loop."""
-
-
-def resolve_method(
-    method: str, num_qubits: int, op_qubits: int = 2
-) -> str:
-    """Resolve ``"auto"`` to a concrete kernel for this circuit width.
-
-    Consults the autotuner's measured einsum-vs-gather crossover
-    (:meth:`repro.arrays.autotune.Autotuner.method_for`, a pinned
-    per-machine timing probe at the given width and gate arity); falls
-    back to ``"einsum"`` when tuning is disabled or has no opinion.
-    Concrete method names pass through untouched.
-    """
-    if method != AUTO_METHOD:
-        return method
-    from .autotune import get_tuner
-
-    return get_tuner().method_for(num_qubits, op_qubits) or "einsum"
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
@@ -215,14 +194,12 @@ class StatevectorSimulator:
         budget: Optional[ResourceBudget] = None,
         progress: Optional[callable] = None,
     ) -> None:
-        if method not in METHODS and method != AUTO_METHOD:
+        if method not in METHODS:
             raise ValueError(
-                f"unknown method '{method}'; "
-                f"choose from {METHODS + (AUTO_METHOD,)}"
+                f"unknown method '{method}'; choose from {METHODS}"
             )
         self._rng = np.random.default_rng(seed)
         self.method = method
-        self.resolved_method: Optional[str] = None
         self.fusion = fusion
         self.max_fused_qubits = max_fused_qubits
         self.budget = budget
@@ -253,8 +230,6 @@ class StatevectorSimulator:
             state = np.array(initial_state, dtype=np.complex128)
             if state.shape != (2**n,):
                 raise ValueError("initial state dimension mismatch")
-        method = resolve_method(self.method, n)
-        self.resolved_method = method
         classical: Dict[int, int] = {}
         reporter = ProgressReporter.maybe(
             self.progress,
@@ -279,7 +254,7 @@ class StatevectorSimulator:
                 clbit, value = op.condition
                 if classical.get(clbit, 0) != value:
                     continue
-            apply_operation(state, op, n, method=method)
+            apply_operation(state, op, n, method=self.method)
         if reporter is not None:
             reporter.close()
         obs_metrics.counter_add("arrays.gate.count", len(circuit.operations))

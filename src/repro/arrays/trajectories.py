@@ -9,37 +9,31 @@ density-matrix result.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import parallel_shm
-from ..circuits.circuit import Operation, QuantumCircuit
+from ..circuits.circuit import QuantumCircuit
 from ..obs import metrics as obs_metrics
 from ..obs.progress import ProgressReporter
 from ..parallel import (
-    EXECUTOR_ENV_VAR,
     RunStats,
     chunk_sizes,
-    configured_jobs,
     parallel_map,
+    resolve_jobs,
     spawn_seeds,
 )
 from ..resources import ResourceBudget
-from .autotune import get_tuner
 from .batched import trajectory_chunk_probabilities
-from .noise import KrausChannel, NoiseModel
-from .statevector import apply_operation, measure_qubit, zero_state
+from .noise import NoiseModel
 
 
 class TrajectoryResult:
     """Averaged outcome distribution over many stochastic trajectories.
 
-    ``metadata`` (chunked-engine runs only) audits how the run executed:
-    the executor and chunk layout, shared-memory transfer volume
-    (``shm_bytes``), and the autotuner decisions consumed
-    (``autotune``).
+    ``metadata`` audits how the run executed: the executor and chunk
+    layout, and the shared-memory transfer volume (``shm_bytes``).
     """
 
     def __init__(
@@ -86,21 +80,15 @@ def _trajectory_chunk_worker(
 class TrajectorySimulator:
     """Monte-Carlo unraveling of a noisy circuit.
 
-    Two execution paths share this class:
-
-    - the **legacy serial loop** (``n_jobs=None`` with no ``REPRO_JOBS``
-      in the environment): one trajectory at a time from a single RNG
-      stream, exactly as always — subclass hooks like ``_sample_kraus``
-      keep working;
-    - the **chunked engine** (``n_jobs`` given, or ``REPRO_JOBS`` set):
-      trajectories are split into deterministic chunks
-      (:func:`repro.parallel.chunk_sizes`), each chunk gets an
-      independent child seed (``SeedSequence.spawn``) and is executed by
-      the batched vectorized kernel
-      (:mod:`repro.arrays.batched`), serially for ``n_jobs=1`` or on a
-      spawn-safe process pool otherwise.  Chunk boundaries, seeds, and
-      merge order never depend on the worker count, so a seeded run is
-      **bitwise identical at any** ``n_jobs``.
+    Trajectories are split into deterministic chunks
+    (:func:`repro.parallel.chunk_sizes`: ``min(trajectories, 8)`` of
+    them), each chunk gets an independent child seed
+    (``SeedSequence.spawn``) and is executed by the batched vectorized
+    kernel (:mod:`repro.arrays.batched`) — inline when the resolved job
+    count is 1, on a worker pool otherwise.  Chunk boundaries, seeds, and
+    merge order depend only on the trajectory count and the seed, so a
+    seeded run is **bitwise identical at any** ``n_jobs``, on either
+    executor, in every process.
 
     ``budget`` caps each chunk: workers inherit
     ``budget.share(n_jobs)`` (memory divided across concurrent workers,
@@ -113,13 +101,10 @@ class TrajectorySimulator:
         self,
         noise_model: Optional[NoiseModel],
         seed: int = 0,
-        method: str = "einsum",
         budget: Optional[ResourceBudget] = None,
     ) -> None:
         self.noise_model = noise_model
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self.method = method
         self.budget = budget
 
     def run(
@@ -127,60 +112,13 @@ class TrajectorySimulator:
         circuit: QuantumCircuit,
         trajectories: int = 100,
         n_jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        progress: Optional[callable] = None,
-        executor: Optional[str] = None,
-        shm: Optional[bool] = None,
-    ) -> TrajectoryResult:
-        jobs = configured_jobs(n_jobs)
-        if jobs is None and chunk_size is None:
-            return self._run_serial(circuit, trajectories, progress)
-        return self._run_chunked(
-            circuit, trajectories, jobs or 1, chunk_size, progress,
-            executor=executor, shm=shm,
-        )
-
-    def _run_serial(
-        self,
-        circuit: QuantumCircuit,
-        trajectories: int,
-        progress: Optional[callable] = None,
-    ) -> TrajectoryResult:
-        n = circuit.num_qubits
-        total = np.zeros(2**n)
-        reporter = ProgressReporter.maybe(
-            progress, "trajectories", total=trajectories, backend="arrays"
-        )
-        for _ in range(trajectories):
-            state = self._single_trajectory(circuit, n)
-            total += np.abs(state) ** 2
-            if reporter is not None:
-                reporter.step()
-        if reporter is not None:
-            reporter.close()
-        obs_metrics.counter_add("trajectories.count", trajectories)
-        return TrajectoryResult(total / trajectories, trajectories)
-
-    def _run_chunked(
-        self,
-        circuit: QuantumCircuit,
-        trajectories: int,
-        jobs: int,
-        chunk_size: Optional[int],
         progress: Optional[callable] = None,
         executor: Optional[str] = None,
         shm: Optional[bool] = None,
     ) -> TrajectoryResult:
         n = circuit.num_qubits
-        tuner = get_tuner()
-        # Autotuned decisions fill only the gaps the caller left open;
-        # both are worker-count independent, so bitwise determinism
-        # across n_jobs/executor survives tuning.
-        if chunk_size is None:
-            chunk_size = tuner.chunk_size_for("trajectories", n)
-        if executor is None and os.environ.get(EXECUTOR_ENV_VAR, "") == "":
-            executor = tuner.executor_for("trajectories")
-        sizes = chunk_sizes(trajectories, chunk_size=chunk_size)
+        jobs = resolve_jobs(n_jobs)
+        sizes = chunk_sizes(trajectories)
         seeds = spawn_seeds(self.seed, len(sizes))
         # Each chunk ships a (2**n,) float64 partial back; over the shm
         # plane those segments are parent-side allocations charged once
@@ -220,7 +158,6 @@ class TrajectorySimulator:
             shm=shm,
             stats=stats,
         )
-        tuner.observe_run("trajectories", n, stats, sizes)
         total = np.zeros(2**n)
         for partial in partials:
             total += partial
@@ -231,69 +168,7 @@ class TrajectorySimulator:
             "chunks": len(sizes),
             "chunk_size": max(sizes) if sizes else 0,
             "shm_bytes": stats.shm_bytes,
-            "autotune": tuner.audit(),
         }
         return TrajectoryResult(
             total / max(trajectories, 1), trajectories, metadata
         )
-
-    def _single_trajectory(self, circuit: QuantumCircuit, n: int) -> np.ndarray:
-        state = zero_state(n)
-        for op in circuit.operations:
-            if op.is_barrier:
-                continue
-            if op.is_measurement:
-                _, state = measure_qubit(state, op.targets[0], self._rng, n)
-                continue
-            apply_operation(state, op, n, method=self.method)
-            self._apply_noise(state, op, n)
-        return state
-
-    def _apply_noise(self, state: np.ndarray, op: Operation, n: int) -> None:
-        if self.noise_model is None:
-            return
-        channel = self.noise_model.channel_for(op.name_with_controls(), op.num_qubits)
-        if channel is None:
-            return
-        if channel.num_qubits == 1:
-            for q in op.qubits:
-                self._sample_kraus(state, channel, [q], n)
-        elif channel.num_qubits == len(op.qubits):
-            self._sample_kraus(state, channel, list(op.qubits), n)
-        else:
-            raise ValueError(
-                f"channel '{channel.name}' arity does not match the operation"
-            )
-
-    def _sample_kraus(
-        self, state: np.ndarray, channel: KrausChannel, targets, n: int
-    ) -> None:
-        """Pick one Kraus branch with probability ||K|psi>||^2.
-
-        Branch weights come from the reduced density matrix of the target
-        qubits (``||K_i|psi>||^2 = tr(K_i rho_T K_i^dagger)``), computed
-        incrementally until the sampled branch is identified; only that
-        operator is then applied.  The old implementation materialized
-        ``K_i|psi>`` — a full ``2**n`` copy — for *every* operator of the
-        channel on every noisy location, which made e.g. two-qubit
-        depolarizing noise (16 Kraus terms) allocate 16 states to use one.
-        """
-        from .noise import reduced_density_matrix
-
-        rho = reduced_density_matrix(state, targets, num_qubits=n)
-        # Trace preservation: sum_i tr(K_i rho K_i^dagger) = tr(rho), so
-        # the total is known before any per-branch weight.
-        total = float(np.real(np.trace(rho)))
-        pick = self._rng.random() * total
-        chosen = len(channel.operators) - 1
-        cumulative = 0.0
-        for index, operator in enumerate(channel.operators):
-            cumulative += float(
-                np.real(np.einsum("ab,bc,ac->", operator, rho, operator.conj()))
-            )
-            if pick <= cumulative:
-                chosen = index
-                break
-        candidate = channel.apply_operator(state, chosen, targets, num_qubits=n)
-        weight = float(np.real(np.vdot(candidate, candidate)))
-        state[...] = candidate / np.sqrt(max(weight, 1e-300))

@@ -28,9 +28,10 @@ through CX — ``CX (X⊗I) CX = X⊗X``, ``CX (I⊗Z) CX = Z⊗Z``,
 ``CX (Y⊗Y) CX = -(X⊗Z)`` — so a single CX turns the two-qubit
 exponential into single-qubit exponentials sandwiched by one CZ and one
 CY.  Every emitted block is verified numerically against the target
-unitary; a mismatch (never observed, but synthesis must be safe) falls
-back to the existing rxx/ryy/rzz lowering in
-:func:`repro.compile.kak.decompose_two_qubit_unitary`.
+unitary, entry by entry to :data:`_VERIFY_TOL` with no relative slack; a
+mismatch falls back to the existing rxx/ryy/rzz lowering in
+:func:`repro.compile.kak.decompose_two_qubit_unitary`, which must pass
+the same check, and a block neither candidate reproduces is kept as is.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ from .passes import STRUCTURAL
 from .passmanager import PropertySet, TransformationPass
 
 _COEFF_TOL = 1e-12
+
+_VERIFY_TOL = 1e-9
+"""Largest entry-wise deviation a resynthesized block may have from its
+target (global phase included).  Absolute, so a block is never accepted
+for being close *relative* to a large entry: the drift of a compiled
+circuit is bounded by the sum of its accepted blocks' deviations."""
 
 
 def _u1q(matrix: np.ndarray, qubit: int) -> Operation:
@@ -220,7 +227,10 @@ def _verified(
     target: np.ndarray,
     support: List[int],
 ) -> bool:
-    """Numeric safety net: the candidate must reproduce ``target`` exactly."""
+    """Numeric safety net: the candidate must reproduce ``target`` exactly.
+
+    Exactly means every entry within :data:`_VERIFY_TOL` (rtol 0).
+    """
     local = {q: i for i, q in enumerate(support)}
     rebuilt = np.eye(len(target), dtype=np.complex128)
     phase = 0.0
@@ -232,7 +242,7 @@ def _verified(
             [op.remapped(local)], list(range(len(support)))
         ) @ rebuilt
     rebuilt = rebuilt * cmath.exp(1j * phase)
-    return bool(np.allclose(rebuilt, target, atol=1e-7))
+    return bool(np.max(np.abs(rebuilt - target)) <= _VERIFY_TOL)
 
 
 class Collapse1qRuns(TransformationPass):
@@ -353,6 +363,8 @@ class Resynth2qBlocks(TransformationPass):
                 candidate = list(
                     decompose_to_basis(shim, self.basis).operations
                 )
+            if not _verified(candidate, target, support):
+                return block.ops
         old_cx = sum(
             1 for op in block.ops if op.is_unitary and len(op.qubits) >= 2
         )

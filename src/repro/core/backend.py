@@ -40,7 +40,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..obs import ProgressReporter, trace_session
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..parallel import RunStats, chunk_sizes, configured_jobs, parallel_map
+from ..parallel import RunStats, chunk_sizes, parallel_map, resolve_jobs
 from ..resources import ResourceExhausted
 from . import backends as _backends  # noqa: F401  (populates REGISTRY)
 from . import capabilities as cap
@@ -688,7 +688,7 @@ def simulate_many(
     circuits = list(circuits)
     if n_jobs is None:
         n_jobs = opts.n_jobs
-    jobs = configured_jobs(n_jobs) or 1
+    jobs = resolve_jobs(n_jobs)
     reporter = ProgressReporter.maybe(
         opts.progress, "circuits", total=len(circuits)
     )

@@ -29,22 +29,10 @@ class ArraysBackend(Backend):
             budget=options.budget,
             progress=options.progress,
         )
-        state = sim.statevector(circuit)
-        # With method="auto" the gate loop resolved a concrete kernel
-        # from the autotuner; metadata reports what actually ran.
-        self._last_method = sim.resolved_method or options.method
-        return state
+        return sim.statevector(circuit)
 
     def _meta(self, state: np.ndarray, options: SimOptions) -> Metadata:
-        meta: Metadata = {
-            "method": getattr(self, "_last_method", options.method),
-            "memory_bytes": int(state.nbytes),
-        }
-        if options.method == "auto":
-            from ...arrays.autotune import get_tuner
-
-            meta["autotune"] = get_tuner().audit()
-        return meta
+        return {"method": options.method, "memory_bytes": int(state.nbytes)}
 
     def statevector(
         self, circuit: QuantumCircuit, options: SimOptions

@@ -20,7 +20,7 @@ import numpy as np
 
 from ...circuits.circuit import QuantumCircuit
 from ...obs import metrics as obs_metrics
-from ...parallel import configured_jobs, resolve_jobs
+from ...parallel import resolve_jobs
 from ...resources import MemoryBudgetExceeded
 from ...tn.circuit_tn import (
     amplitude_network,
@@ -82,7 +82,7 @@ class TNBackend(Backend):
             # Slice contraction *and* the final summation parallelize
             # over this worker count (elementwise-chunked summation is
             # order-preserving, so the count never changes the bits).
-            jobs = resolve_jobs(configured_jobs(options.n_jobs) or 1)
+            jobs = resolve_jobs(options.n_jobs)
             return result, {
                 "sliced_bonds": list(indices),
                 "slices": num_slices,

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Union
 
+from ..arrays.statevector import METHODS
 from ..obs.trace import env_enabled as _trace_env_enabled
 from ..resources import ResourceBudget, default_budget
 
@@ -183,12 +184,10 @@ class SimOptions:
         seed: RNG seed for every stochastic step (measurement collapse,
             sampling).  Honored by all backends.
         method: Arrays gate-application kernel, ``"einsum"`` (fast
-            reshape/slice kernels), ``"gather"`` (legacy path), or
-            ``"auto"`` — resolve per circuit width from the runtime
-            autotuner's measured einsum-vs-gather crossover
-            (:mod:`repro.arrays.autotune`; falls back to ``"einsum"``
-            when tuning is disabled or unmeasured).  The resolved kernel
-            is reported in ``metadata["method"]``.
+            reshape/slice kernels, the default) or ``"gather"`` (legacy
+            index-matrix path, kept for A/B comparison).  Any other
+            value raises ``ValueError``.  Reported in
+            ``metadata["method"]``.
         fusion: Merge runs of adjacent gates into single unitaries before
             simulation (registry-level pre-pass, applied uniformly to all
             non-Clifford-only backends).
@@ -221,15 +220,14 @@ class SimOptions:
         track_peak: Record the DD backend's peak node count.
         n_jobs: Worker-process count for batch entry points
             (:func:`repro.core.simulate_many`); ``None`` defers to the
-            ``REPRO_JOBS`` environment variable, and unset means serial.
-            ``0`` or negative means "all available cores".  Single-circuit
-            entry points ignore it.
+            ``REPRO_JOBS`` environment variable, and unset means one job,
+            which runs inline.  ``0`` or negative means "all available
+            cores".  Single-circuit entry points ignore it.
         executor: Pooled-loop executor, ``"process"`` (spawn-safe worker
             processes, the default) or ``"thread"`` (in-process threads —
             zero serialization, concurrent wherever numpy releases the
-            GIL).  ``None`` defers to ``REPRO_EXECUTOR``, then to the
-            runtime autotuner's measured preference per workload, then
-            to processes.  Results are bitwise identical either way.
+            GIL).  ``None`` defers to ``REPRO_EXECUTOR``, then to
+            processes.  Results are bitwise identical either way.
         shm: Shared-memory result transfer for process pools: ``None``
             (default) follows the ``REPRO_SHM`` environment policy —
             on wherever POSIX shared memory works — ``False`` forces the
@@ -285,6 +283,12 @@ class SimOptions:
     trace: bool = False
     progress: Optional[Callable[[Any], None]] = None
     cache: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(
+                f"unknown method {self.method!r}; choose from {METHODS}"
+            )
 
     @classmethod
     def from_kwargs(cls, **kwargs: Any) -> "SimOptions":

@@ -17,14 +17,13 @@ import numpy as np
 from ..arrays.noise import KrausChannel, NoiseModel
 from ..circuits.circuit import Operation, QuantumCircuit
 from ..circuits.gates import Gate
-from ..arrays.autotune import get_tuner
 from ..obs import metrics as obs_metrics
 from ..obs.progress import ProgressReporter
 from ..parallel import (
     RunStats,
     chunk_sizes,
-    configured_jobs,
     parallel_map,
+    resolve_jobs,
     spawn_seeds,
 )
 from .package import DDPackage
@@ -35,9 +34,8 @@ from .vector import VectorDD
 class NoisyDDResult:
     """Averaged outcome distribution over DD trajectories.
 
-    ``metadata`` (chunked-engine runs only) audits the execution:
-    executor, chunk layout, shared-memory transfer volume, and consumed
-    autotuner decisions.
+    ``metadata`` audits the execution: executor, chunk layout, and
+    shared-memory transfer volume.
     """
 
     def __init__(
@@ -95,14 +93,6 @@ def _chunk_progress(
     return _on_result
 
 
-def _dd_chunk_simulator(
-    noise_model: Optional[NoiseModel], seed_seq: np.random.SeedSequence
-) -> "NoisyDDSimulator":
-    simulator = NoisyDDSimulator(noise_model)
-    simulator._rng = np.random.default_rng(seed_seq)
-    return simulator
-
-
 def _dd_trajectory_chunk_worker(
     spec: Tuple[
         QuantumCircuit, Optional[NoiseModel], int, np.random.SeedSequence
@@ -114,12 +104,12 @@ def _dd_trajectory_chunk_worker(
     counts (in trajectory order), and the chunk's peak node count.
     """
     circuit, noise_model, count, seed_seq = spec
-    simulator = _dd_chunk_simulator(noise_model, seed_seq)
+    rng = np.random.default_rng(seed_seq)
     total = np.zeros(2**circuit.num_qubits)
     node_counts: List[int] = []
     peak = 0
     for _ in range(count):
-        state = simulator._single_trajectory(circuit)
+        state = _single_trajectory(circuit, noise_model, rng)
         total += np.abs(state.to_statevector()) ** 2
         nodes = state.num_nodes()
         node_counts.append(nodes)
@@ -134,45 +124,114 @@ def _dd_sampling_chunk_worker(
 ) -> Dict[str, int]:
     """Chunk task for :meth:`NoisyDDSimulator.run_sampling`: partial counts."""
     circuit, noise_model, count, seed_seq = spec
-    simulator = _dd_chunk_simulator(noise_model, seed_seq)
+    rng = np.random.default_rng(seed_seq)
     counts: Dict[str, int] = {}
     for _ in range(count):
-        state = simulator._single_trajectory(circuit)
-        sample = state.sample_counts(
-            1, seed=int(simulator._rng.integers(2**31))
-        )
+        state = _single_trajectory(circuit, noise_model, rng)
+        sample = state.sample_counts(1, seed=int(rng.integers(2**31)))
         for key, value in sample.items():
             counts[key] = counts.get(key, 0) + value
     return counts
 
 
+def _single_trajectory(
+    circuit: QuantumCircuit,
+    noise_model: Optional[NoiseModel],
+    rng: np.random.Generator,
+) -> VectorDD:
+    """One stochastic trajectory as a vector DD, drawing from ``rng``."""
+    package = DDPackage()
+    simulator = DDSimulator(package, seed=int(rng.integers(2**31)))
+    n = circuit.num_qubits
+    state = VectorDD.zero_state(n, package)
+    for op in circuit.operations:
+        if op.is_barrier:
+            continue
+        if op.is_measurement:
+            _, state = simulator._measure(state, op.targets[0])
+            continue
+        state = simulator.apply_operation(state, op)
+        state = _apply_noise(package, state, op, noise_model, rng)
+    return state
+
+
+def _apply_noise(
+    package: DDPackage,
+    state: VectorDD,
+    op: Operation,
+    noise_model: Optional[NoiseModel],
+    rng: np.random.Generator,
+) -> VectorDD:
+    if noise_model is None:
+        return state
+    channel = noise_model.channel_for(op.name_with_controls(), op.num_qubits)
+    if channel is None:
+        return state
+    if channel.num_qubits == 1:
+        for q in op.qubits:
+            state = _sample_kraus(package, state, channel, [q], rng)
+    elif channel.num_qubits == len(op.qubits):
+        state = _sample_kraus(package, state, channel, list(op.qubits), rng)
+    else:
+        raise ValueError(
+            f"channel '{channel.name}' arity does not match the operation"
+        )
+    return state
+
+
+def _sample_kraus(
+    package: DDPackage,
+    state: VectorDD,
+    channel: KrausChannel,
+    targets: List[int],
+    rng: np.random.Generator,
+) -> VectorDD:
+    """Born-weighted Kraus branch selection, with DD-native norms."""
+    weights = []
+    candidates = []
+    for index, kraus in enumerate(channel.operators):
+        gate = Gate(f"kraus_{channel.name}_{index}", len(targets), kraus)
+        op = Operation(gate, targets)
+        edge = package.mv_multiply(
+            package.gate_edge(op, state.num_qubits), state.edge
+        )
+        weight = package.norm(edge) ** 2
+        weights.append(weight)
+        candidates.append(edge)
+    total = sum(weights)
+    pick = rng.random() * total
+    cumulative = 0.0
+    chosen = len(weights) - 1
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        if pick <= cumulative:
+            chosen = index
+            break
+    edge = candidates[chosen]
+    norm = np.sqrt(max(weights[chosen], 1e-300))
+    edge = package.make_edge(edge.node, edge.weight / norm)
+    return VectorDD(package, edge, state.num_qubits)
+
+
 class NoisyDDSimulator:
     """Monte-Carlo Kraus unraveling with decision-diagram states.
 
-    Like :class:`repro.arrays.trajectories.TrajectorySimulator`, the
-    trajectory loop has a legacy serial path (``n_jobs=None`` with no
-    ``REPRO_JOBS`` set: one RNG stream, one trajectory at a time) and a
-    chunked path: trajectories split by :func:`repro.parallel.chunk_sizes`
-    with one ``SeedSequence`` child per chunk, executed inline for
-    ``n_jobs=1`` or on a spawn-safe process pool otherwise.  Chunk
-    boundaries, seeds, and merge order (probabilities summed and node
-    counts concatenated in chunk order; sampling counts merged by key)
-    never depend on the worker count, so seeded chunked results are
-    bitwise identical at any ``n_jobs``.
+    The same engine as :class:`repro.arrays.trajectories.TrajectorySimulator`:
+    trajectories (or shots) are split by :func:`repro.parallel.chunk_sizes`
+    into ``min(total, 8)`` chunks with one ``SeedSequence`` child per
+    chunk, executed inline when the resolved job count is 1 or on a
+    worker pool otherwise.  Chunk boundaries, seeds, and merge order
+    (probabilities summed and node counts concatenated in chunk order;
+    sampling counts merged by key) depend only on the total and the
+    seed, so seeded results are bitwise identical at any ``n_jobs``.
     """
 
     def __init__(self, noise_model: Optional[NoiseModel], seed: int = 0) -> None:
         self.noise_model = noise_model
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
 
-    def _chunk_specs(
-        self,
-        circuit: QuantumCircuit,
-        total: int,
-        chunk_size: Optional[int],
-    ) -> List[Tuple]:
-        sizes = chunk_sizes(total, chunk_size=chunk_size)
+    def _chunk_specs(self, circuit: QuantumCircuit, total: int) -> List[Tuple]:
+        sizes = chunk_sizes(total)
         seeds = spawn_seeds(self.seed, len(sizes))
         return [
             (circuit, self.noise_model, count, seed_seq)
@@ -184,38 +243,20 @@ class NoisyDDSimulator:
         circuit: QuantumCircuit,
         trajectories: int = 100,
         n_jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         progress: Optional[callable] = None,
         executor: Optional[str] = None,
         shm: Optional[bool] = None,
     ) -> NoisyDDResult:
-        jobs = configured_jobs(n_jobs)
-        if jobs is None and chunk_size is None:
-            return self._run_serial(circuit, trajectories, progress)
-        tuner = get_tuner()
-        if chunk_size is None:
-            chunk_size = tuner.chunk_size_for(
-                "dd_trajectories", circuit.num_qubits
-            )
-        # No executor tuning here: DD trajectory work is pure-Python
-        # node manipulation that never releases the GIL, so threads
-        # cannot beat processes; only an explicit caller choice applies.
-        specs = self._chunk_specs(circuit, trajectories, chunk_size)
+        specs = self._chunk_specs(circuit, trajectories)
         stats = RunStats()
         partials = parallel_map(
             _dd_trajectory_chunk_worker,
             specs,
-            n_jobs=jobs or 1,
+            n_jobs=resolve_jobs(n_jobs),
             on_result=_chunk_progress(specs, progress, "trajectories", "dd"),
             executor=executor,
             shm=shm,
             stats=stats,
-        )
-        tuner.observe_run(
-            "dd_trajectories",
-            circuit.num_qubits,
-            stats,
-            [spec[2] for spec in specs],
         )
         obs_metrics.counter_add("trajectories.count", trajectories)
         total = np.zeros(2**circuit.num_qubits)
@@ -235,39 +276,7 @@ class NoisyDDSimulator:
                 "n_jobs": stats.jobs,
                 "chunks": len(specs),
                 "shm_bytes": stats.shm_bytes,
-                "autotune": tuner.audit(),
             },
-        )
-
-    def _run_serial(
-        self,
-        circuit: QuantumCircuit,
-        trajectories: int,
-        progress: Optional[callable] = None,
-    ) -> NoisyDDResult:
-        n = circuit.num_qubits
-        total = np.zeros(2**n)
-        node_counts: List[int] = []
-        peak = 0
-        reporter = ProgressReporter.maybe(
-            progress, "trajectories", total=trajectories, backend="dd"
-        )
-        for _ in range(trajectories):
-            state = self._single_trajectory(circuit)
-            total += np.abs(state.to_statevector()) ** 2
-            nodes = state.num_nodes()
-            node_counts.append(nodes)
-            peak = max(peak, nodes)
-            if reporter is not None:
-                reporter.step()
-        if reporter is not None:
-            reporter.close()
-        obs_metrics.counter_add("trajectories.count", trajectories)
-        return NoisyDDResult(
-            total / trajectories,
-            trajectories,
-            float(np.mean(node_counts)),
-            peak,
         )
 
     def run_sampling(
@@ -275,7 +284,6 @@ class NoisyDDSimulator:
         circuit: QuantumCircuit,
         shots: int,
         n_jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         progress: Optional[callable] = None,
         executor: Optional[str] = None,
         shm: Optional[bool] = None,
@@ -285,14 +293,11 @@ class NoisyDDSimulator:
         Never builds a dense 2^n array, so this scales with the diagram
         size rather than the qubit count.
         """
-        jobs = configured_jobs(n_jobs)
-        if jobs is None and chunk_size is None:
-            return self._run_sampling_serial(circuit, shots, progress)
-        specs = self._chunk_specs(circuit, shots, chunk_size)
+        specs = self._chunk_specs(circuit, shots)
         partials = parallel_map(
             _dd_sampling_chunk_worker,
             specs,
-            n_jobs=jobs or 1,
+            n_jobs=resolve_jobs(n_jobs),
             on_result=_chunk_progress(specs, progress, "shots", "dd"),
             executor=executor,
             shm=shm,
@@ -302,93 +307,3 @@ class NoisyDDSimulator:
             for key, value in partial.items():
                 counts[key] = counts.get(key, 0) + value
         return counts
-
-    def _run_sampling_serial(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        progress: Optional[callable] = None,
-    ) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        reporter = ProgressReporter.maybe(
-            progress, "shots", total=shots, backend="dd"
-        )
-        for _ in range(shots):
-            state = self._single_trajectory(circuit)
-            sample = state.sample_counts(1, seed=int(self._rng.integers(2**31)))
-            for key, value in sample.items():
-                counts[key] = counts.get(key, 0) + value
-            if reporter is not None:
-                reporter.step()
-        if reporter is not None:
-            reporter.close()
-        return counts
-
-    def _single_trajectory(self, circuit: QuantumCircuit) -> VectorDD:
-        package = DDPackage()
-        simulator = DDSimulator(package, seed=int(self._rng.integers(2**31)))
-        n = circuit.num_qubits
-        state = VectorDD.zero_state(n, package)
-        for op in circuit.operations:
-            if op.is_barrier:
-                continue
-            if op.is_measurement:
-                _, state = simulator._measure(state, op.targets[0])
-                continue
-            state = simulator.apply_operation(state, op)
-            state = self._apply_noise(package, state, op)
-        return state
-
-    def _apply_noise(
-        self, package: DDPackage, state: VectorDD, op: Operation
-    ) -> VectorDD:
-        if self.noise_model is None:
-            return state
-        channel = self.noise_model.channel_for(
-            op.name_with_controls(), op.num_qubits
-        )
-        if channel is None:
-            return state
-        if channel.num_qubits == 1:
-            for q in op.qubits:
-                state = self._sample_kraus(package, state, channel, [q])
-        elif channel.num_qubits == len(op.qubits):
-            state = self._sample_kraus(package, state, channel, list(op.qubits))
-        else:
-            raise ValueError(
-                f"channel '{channel.name}' arity does not match the operation"
-            )
-        return state
-
-    def _sample_kraus(
-        self,
-        package: DDPackage,
-        state: VectorDD,
-        channel: KrausChannel,
-        targets: List[int],
-    ) -> VectorDD:
-        """Born-weighted Kraus branch selection, with DD-native norms."""
-        weights = []
-        candidates = []
-        for index, kraus in enumerate(channel.operators):
-            gate = Gate(f"kraus_{channel.name}_{index}", len(targets), kraus)
-            op = Operation(gate, targets)
-            edge = package.mv_multiply(
-                package.gate_edge(op, state.num_qubits), state.edge
-            )
-            weight = package.norm(edge) ** 2
-            weights.append(weight)
-            candidates.append(edge)
-        total = sum(weights)
-        pick = self._rng.random() * total
-        cumulative = 0.0
-        chosen = len(weights) - 1
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if pick <= cumulative:
-                chosen = index
-                break
-        edge = candidates[chosen]
-        norm = np.sqrt(max(weights[chosen], 1e-300))
-        edge = package.make_edge(edge.node, edge.weight / norm)
-        return VectorDD(package, edge, state.num_qubits)

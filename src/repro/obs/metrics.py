@@ -19,8 +19,8 @@ Metric names are dotted lowercase (``dd.unique_table.size``,
 ``tn.plan.peak_cost``); the Prometheus exporter in
 :mod:`repro.obs.export` rewrites dots to underscores.  Names shared by
 several layers are declared here as constants so producers
-(:mod:`repro.parallel`, :mod:`repro.parallel_shm`) and consumers (the
-autotuner, exporters, tests) cannot drift apart.
+(:mod:`repro.parallel`, :mod:`repro.parallel_shm`) and consumers
+(exporters, tests) cannot drift apart.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ PARALLEL_SHM_SEGMENTS = "parallel.shm.segments"
 
 PARALLEL_SHM_SWEPT = "parallel.shm.swept"
 """Counter: leftover segments reclaimed by the teardown sweep."""
-
-AUTOTUNE_DECISIONS = "autotune.decisions"
-"""Counter: autotuner decisions served (cached or freshly derived)."""
 
 TRAJ_BATCH_BYTES = "trajectories.batch.bytes"
 """Gauge (max): bytes of the largest batched trajectory state stack."""

@@ -5,9 +5,9 @@ loops: stochastic noise trajectories (arrays Sec. II, decision diagrams
 ref. [13]) and random-stimuli equivalence checking (Sec. IV).  This
 module is the one seam they all share:
 
-- :func:`configured_jobs` / :func:`resolve_jobs` — worker-count policy
-  (explicit ``n_jobs`` argument, else the ``REPRO_JOBS`` environment
-  variable, else serial);
+- :func:`resolve_jobs` — worker-count policy (explicit ``n_jobs``
+  argument, else the ``REPRO_JOBS`` environment variable, else one job,
+  which runs inline);
 - :func:`resolve_executor` — executor policy (explicit ``executor``
   argument, else the ``REPRO_EXECUTOR`` environment variable, else
   worker processes).  ``"process"`` is a spawn-context
@@ -63,10 +63,9 @@ under its current span (worker span ids embed the worker pid, so they
 never collide), merges the metrics, and records every chunk's wall time
 in the ``parallel.chunk.wall_s`` histogram and the run's shm traffic in
 ``parallel.shm.bytes``/``parallel.shm.segments``.  Independent of
-tracing, every pooled call can fill a :class:`RunStats` — per-chunk
-wall times, pool startup latency, shm byte counts — which is the raw
-measurement feed of the runtime autotuner
-(:mod:`repro.arrays.autotune`).
+tracing, every pooled call can fill a :class:`RunStats` — the executor
+that ran and the shm byte counts — which callers report in result
+metadata.
 """
 
 from __future__ import annotations
@@ -111,33 +110,17 @@ EXECUTORS = ("process", "thread")
 DEFAULT_CHUNKS = 8
 """Default number of work chunks a parallel loop is split into.
 
-Fixed (rather than derived from the worker count) so that chunk
-boundaries — and therefore per-chunk RNG streams and merge order — are
-identical at every ``n_jobs``.  The runtime autotuner may substitute a
-measured chunk *size* (see :mod:`repro.arrays.autotune`); that decision
-is likewise independent of the worker count and the executor.
+Fixed (rather than derived from the worker count or measured speed) so
+that chunk boundaries — and therefore per-chunk RNG streams and merge
+order — depend only on the task size: a seeded run is identical at every
+``n_jobs``, on either executor, in every process.
 """
 
 
-def configured_jobs(n_jobs: Optional[int] = None) -> Optional[int]:
-    """Resolve a worker count, or ``None`` when parallelism is unconfigured.
-
-    ``None`` with no ``REPRO_JOBS`` in the environment returns ``None``,
-    which callers treat as "keep the legacy serial path".  Anything else
-    resolves like :func:`resolve_jobs`.
-    """
+def resolve_jobs(n_jobs: Optional[int] = None) -> int:
+    """Concrete worker count: ``None`` -> ``REPRO_JOBS`` -> 1; ``<= 0`` -> all cores."""
     if n_jobs is None:
-        spec = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if not spec:
-            return None
-        n_jobs = int(spec)
-    return resolve_jobs(n_jobs)
-
-
-def resolve_jobs(n_jobs: Optional[int]) -> int:
-    """Concrete worker count: ``None`` -> env default -> 1; ``<= 0`` -> all cores."""
-    if n_jobs is None:
-        return configured_jobs(None) or 1
+        n_jobs = os.environ.get(JOBS_ENV_VAR, "").strip() or 1
     n_jobs = int(n_jobs)
     if n_jobs <= 0:
         return os.cpu_count() or 1
@@ -169,28 +152,17 @@ def spawn_seeds(seed: int, count: int) -> List[np.random.SeedSequence]:
     return list(np.random.SeedSequence(seed).spawn(count))
 
 
-def chunk_sizes(
-    total: int,
-    num_chunks: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> List[int]:
+def chunk_sizes(total: int, num_chunks: Optional[int] = None) -> List[int]:
     """Split ``total`` work items into near-equal deterministic chunks.
 
-    The split depends only on ``total`` and the explicit ``num_chunks``/
-    ``chunk_size`` overrides — never on the worker count — so seeded
-    results merge identically at any ``n_jobs``.  Callers that accept an
-    autotuned chunk size pass it through ``chunk_size`` here; the
-    tuner's decision is itself worker-count independent (see
-    :meth:`repro.arrays.autotune.Autotuner.chunk_size_for`), so the
-    guarantee survives autotuning.
+    The split depends only on ``total`` and the explicit ``num_chunks``
+    override: ``min(total, DEFAULT_CHUNKS)`` chunks by default, so the
+    seeded loops that use the default merge identically at any
+    ``n_jobs``.
     """
     if total <= 0:
         return []
-    if chunk_size is not None:
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        num_chunks = -(-total // chunk_size)
-    elif num_chunks is None:
+    if num_chunks is None:
         num_chunks = min(total, DEFAULT_CHUNKS)
     num_chunks = max(1, min(int(num_chunks), total))
     base, extra = divmod(total, num_chunks)
@@ -242,31 +214,18 @@ def reap_process(process: Any, timeout_s: float = 5.0) -> None:
 
 
 class RunStats:
-    """Measurements one pooled call leaves behind for the autotuner.
+    """How one pooled call ran, for the caller's result metadata.
 
     Filled by :func:`parallel_map` / :func:`task_stream` when passed in:
-    per-chunk wall seconds (in task order), the pool's startup latency
-    estimate (submit-to-first-result minus that task's own duration),
-    the executor that actually ran, and the shared-memory traffic.
-    All of it is measurement-only — nothing here feeds back into chunk
-    boundaries or RNG streams, so collecting stats never perturbs
-    results.
+    the executor that actually ran, its worker count, and the
+    shared-memory traffic.  Collecting stats never perturbs results.
     """
 
-    __slots__ = (
-        "chunk_seconds",
-        "executor",
-        "jobs",
-        "pool_startup_s",
-        "shm_bytes",
-        "shm_segments",
-    )
+    __slots__ = ("executor", "jobs", "shm_bytes", "shm_segments")
 
     def __init__(self) -> None:
-        self.chunk_seconds: List[float] = []
         self.executor: Optional[str] = None
         self.jobs: int = 1
-        self.pool_startup_s: float = 0.0
         self.shm_bytes: int = 0
         self.shm_segments: int = 0
 
@@ -426,9 +385,8 @@ class _TaskResult:
     ``value`` is the task's result, possibly shm-encoded
     (:func:`repro.parallel_shm.encode_result`); ``report`` the worker's
     trace session report when the parent had tracing on; ``duration_s``
-    the task's wall time on the worker's clock (measured always — it
-    costs two clock reads and feeds the autotuner through
-    :class:`RunStats` without requiring tracing).
+    the task's wall time on the worker's clock, which the parent records
+    in the ``parallel.chunk.wall_s`` histogram when tracing.
     """
 
     __slots__ = ("value", "report", "duration_s")
@@ -539,8 +497,6 @@ def _consume(
         obs_metrics.merge_snapshot(raw.report.get("metrics"))
     if obs_trace.enabled():
         obs_metrics.observe(PARALLEL_CHUNK_WALL_S, raw.duration_s)
-    if stats is not None:
-        stats.chunk_seconds.append(raw.duration_s)
     value = raw.value
     if isinstance(value, parallel_shm._Encoded):
         transfer = parallel_shm.TransferStats()
@@ -556,9 +512,7 @@ def _consume(
     return value
 
 
-def _run_inline(
-    fn: Callable, task: Any, stats: Optional[RunStats] = None
-) -> Any:
+def _run_inline(fn: Callable, task: Any) -> Any:
     """Serial-path twin of the pooled wrappers: same span, no pool."""
     chunk = obs_trace.timed_span(
         "parallel.chunk", fn=getattr(fn, "__name__", str(fn)), inline=True
@@ -569,8 +523,6 @@ def _run_inline(
         chunk.finish()
     if obs_trace.enabled():
         obs_metrics.observe(PARALLEL_CHUNK_WALL_S, chunk.duration_s)
-    if stats is not None:
-        stats.chunk_seconds.append(chunk.duration_s)
     return value
 
 
@@ -605,7 +557,7 @@ def parallel_map(
     execution the parallel paths must match bitwise.  ``executor``
     selects worker processes (default) or threads; ``shm`` overrides
     the shared-memory transfer policy for this call (process executor
-    only); ``stats`` collects per-chunk timings for the autotuner.
+    only); ``stats`` records the executor and shm traffic of the call.
 
     ``on_result(index, result)`` fires in task order as each result is
     consumed (pooled or inline); chunked loops use it to stream progress
@@ -618,7 +570,7 @@ def parallel_map(
         if stats is not None:
             stats.executor, stats.jobs = "inline", 1
         for index, task in enumerate(tasks):
-            value = _run_inline(fn, task, stats)
+            value = _run_inline(fn, task)
             if on_result is not None:
                 on_result(index, value)
             results.append(value)
@@ -629,13 +581,8 @@ def parallel_map(
     if kind == "thread":
         wrapped = partial(_threaded_task, fn, traced)
         with ThreadPool(jobs) as pool:
-            started = obs_trace.clock()
             for index, raw in enumerate(pool.imap(wrapped, tasks)):
                 value = _consume(raw, traced, stats)
-                if index == 0 and stats is not None:
-                    stats.pool_startup_s = max(
-                        obs_trace.clock() - started - raw.duration_s, 0.0
-                    )
                 if on_result is not None:
                     on_result(index, value)
                 results.append(value)
@@ -646,13 +593,8 @@ def parallel_map(
         parallel_shm.track_token(token)
     try:
         with ProcessPool(jobs) as pool:
-            started = obs_trace.clock()
             for index, raw in enumerate(pool.imap(wrapped, tasks)):
                 value = _consume(raw, traced, stats)
-                if index == 0 and stats is not None:
-                    stats.pool_startup_s = max(
-                        obs_trace.clock() - started - raw.duration_s, 0.0
-                    )
                 if on_result is not None:
                     on_result(index, value)
                 results.append(value)
@@ -694,7 +636,7 @@ def task_stream(
     if jobs <= 1 or len(tasks) <= 1:
         if stats is not None:
             stats.executor, stats.jobs = "inline", 1
-        yield (_run_inline(fn, task, stats) for task in tasks)
+        yield (_run_inline(fn, task) for task in tasks)
         return
     traced = obs_trace.enabled()
     if stats is not None:

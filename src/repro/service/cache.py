@@ -19,9 +19,8 @@ included, the result-invariant scheduling knobs excluded), and the
 task-specific arguments (shots / Pauli string / basis index).
 
 Requests that cannot be keyed soundly return no key and are never
-cached: an explicit contraction ``plan`` (no canonical form, changes
-summation order) and ``method="auto"`` (resolves against mutable
-autotuner state, so the same key could map to different kernels).
+cached: an explicit contraction ``plan`` has no canonical form (and
+changes summation order).
 
 Entries pickle the full ``(value, metadata, backend_name)`` triple —
 pickle, not JSON, because exactness is the contract: ndarray states,
@@ -117,8 +116,6 @@ def request_key(
     extra: Optional[Dict[str, Any]] = None,
 ) -> Optional[str]:
     """Content-addressed key for one request, or ``None`` if uncacheable."""
-    if options.method == "auto":
-        return None
     try:
         options_part = options.canonical_dict()
     except TypeError:  # explicit contraction plan

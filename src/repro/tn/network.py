@@ -16,7 +16,7 @@ import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..parallel import configured_jobs, parallel_map, resolve_jobs
+from ..parallel import parallel_map, resolve_jobs
 from ..resources import ResourceBudget
 from .tensor import Tensor, contract, contraction_result_indices
 
@@ -222,7 +222,7 @@ class TensorNetwork:
                         tensor = tensor.slice_index(name, value)
                 sliced.append(tensor)
             specs.append((sliced, plan, budget))
-        jobs = (configured_jobs(n_jobs) or 1) if n_jobs is None else n_jobs
+        jobs = resolve_jobs(n_jobs)
         with obs_trace.span(
             "tn.contract_sliced", index=",".join(indices), slices=num_slices
         ):
@@ -241,7 +241,7 @@ class TensorNetwork:
             ).data
             for partial in partials[1:]
         ]
-        total = _sum_partials(aligned, resolve_jobs(jobs))
+        total = _sum_partials(aligned, jobs)
         return Tensor(total, first.indices)
 
     def contraction_cost(

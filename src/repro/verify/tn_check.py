@@ -20,7 +20,7 @@ from .. import parallel_shm
 from ..circuits.circuit import QuantumCircuit
 from ..obs import trace as obs_trace
 from ..obs.progress import ProgressReporter
-from ..parallel import configured_jobs, task_stream
+from ..parallel import resolve_jobs, task_stream
 from ..parallel_shm import ShmArray
 from ..resources import ResourceBudget
 from ..tn.circuit_tn import amplitude
@@ -234,7 +234,7 @@ def check_equivalence_random_stimuli(
                 for _ in range(amplitudes_per_stimulus)
             ]
         )
-    jobs = configured_jobs(n_jobs) or 1
+    jobs = resolve_jobs(n_jobs)
     worker_budget = (
         budget.share(jobs) if budget is not None and jobs > 1 else budget
     )

@@ -252,10 +252,10 @@ def _pivot_gadget_at_frontier(
             if not _is_gadget_hub(d, h):
                 continue
             # Detach v from its output through two H identity spiders.
-            ((o, ty),) = [
-                (w, t) for w, t in d.edges[v].items() if d.is_boundary(w)
-            ] or [(None, None)]
-            if o is None or ty != EdgeType.SIMPLE:
+            # v may touch an input boundary as well (step 4 leaves such
+            # spiders on the frontier), so name the output explicitly.
+            o = d.outputs[q]
+            if d.edge_type(v, o) != EdgeType.SIMPLE:
                 continue
             qubit = d.qubit_of.get(o, 0.0)
             va = d.add_vertex(VertexType.Z, 0, qubit=qubit)

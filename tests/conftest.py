@@ -10,24 +10,6 @@ from repro.circuits import library, random_circuits
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _isolated_autotune_cache(tmp_path_factory):
-    """Point the runtime autotuner at a throwaway cache for the whole run.
-
-    Tests must neither trust decisions pinned by earlier real workloads
-    nor pollute the user's ``~/.cache/repro/autotune.json`` with
-    measurements of miniature test circuits.
-    """
-    path = tmp_path_factory.mktemp("autotune") / "autotune.json"
-    previous = os.environ.get("REPRO_AUTOTUNE_CACHE")
-    os.environ["REPRO_AUTOTUNE_CACHE"] = str(path)
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_AUTOTUNE_CACHE", None)
-    else:
-        os.environ["REPRO_AUTOTUNE_CACHE"] = previous
-
-
-@pytest.fixture(scope="session", autouse=True)
 def _isolated_result_cache(tmp_path_factory):
     """Point the persistent result cache at a throwaway directory.
 

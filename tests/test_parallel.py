@@ -12,12 +12,16 @@ The load-bearing properties:
   parent.
 """
 
+import hashlib
 import multiprocessing as mp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from repro.arrays.density import DensityMatrixSimulator
 from repro.arrays.noise import NoiseModel
 from repro.arrays.trajectories import TrajectorySimulator
 from repro.circuits import random_circuits
@@ -27,7 +31,6 @@ from repro.parallel import (
     JOBS_ENV_VAR,
     ProcessPool,
     chunk_sizes,
-    configured_jobs,
     parallel_map,
     resolve_jobs,
     spawn_seeds,
@@ -53,16 +56,15 @@ class TestChunking:
 
     def test_chunk_sizes_ignore_worker_count(self):
         # No n_jobs parameter exists: the split is a function of the
-        # total (and explicit overrides) alone.
+        # total (and an explicit chunk count) alone.
         assert chunk_sizes(100) == chunk_sizes(100)
-        assert chunk_sizes(100, chunk_size=30) == [25, 25, 25, 25]
+        assert chunk_sizes(100) == [13, 13, 13, 13, 12, 12, 12, 12]
         assert chunk_sizes(10, num_chunks=3) == [4, 3, 3]
 
     def test_chunk_sizes_edge_cases(self):
         assert chunk_sizes(0) == []
         assert chunk_sizes(3) == [1, 1, 1]
-        with pytest.raises(ValueError):
-            chunk_sizes(10, chunk_size=0)
+        assert chunk_sizes(3, num_chunks=0) == [3]
 
     def test_spawn_seeds_deterministic(self):
         a = spawn_seeds(42, 8)
@@ -72,13 +74,13 @@ class TestChunking:
         streams = {np.random.default_rng(s).integers(2**31) for s in a}
         assert len(streams) == 8
 
-    def test_configured_jobs_policy(self, monkeypatch):
+    def test_resolve_jobs_policy(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert configured_jobs(None) is None
-        assert configured_jobs(3) == 3
+        assert resolve_jobs(None) == 1
+        assert resolve_jobs(3) == 3
         monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        assert configured_jobs(None) == 2
-        assert configured_jobs(5) == 5  # explicit beats env
+        assert resolve_jobs(None) == 2
+        assert resolve_jobs(5) == 5  # explicit beats env
         assert resolve_jobs(0) >= 1  # "all cores"
 
 
@@ -147,30 +149,106 @@ class TestTrajectoryDeterminism:
         assert np.array_equal(results[0], results[2])
         assert _no_leaked_children()
 
-    def test_arrays_engine_matches_legacy_statistically(self):
+    def test_arrays_engine_matches_density_matrix_statistically(self):
         noise = NoiseModel.uniform_depolarizing(0.05, 0.0)
         circuit = random_circuits.brickwork_circuit(4, 2, seed=3)
-        legacy = TrajectorySimulator(noise, seed=5).run(
-            circuit, trajectories=600
-        )
+        exact = DensityMatrixSimulator(noise).run(circuit).probabilities()
         engine = TrajectorySimulator(noise, seed=5).run(
             circuit, trajectories=600, n_jobs=1
         )
-        assert np.max(np.abs(legacy.probs - engine.probs)) < 0.08
+        assert np.max(np.abs(exact - engine.probs)) < 0.08
         assert engine.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_legacy_serial_path_is_untouched(self, monkeypatch):
-        """Without n_jobs/REPRO_JOBS, run() is exactly the old loop."""
+    @pytest.mark.parametrize("engine", ["arrays", "dd"])
+    def test_default_call_is_the_chunked_engine(self, engine, monkeypatch):
+        """Without n_jobs/REPRO_JOBS, run() is the chunked engine inline:
+        bitwise equal to n_jobs=1 and to n_jobs=2 on both executors."""
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        noise = NoiseModel.uniform_depolarizing(0.02, 0.02)
-        circuit = random_circuits.brickwork_circuit(4, 2, seed=2)
-        default = TrajectorySimulator(noise, seed=9).run(
-            circuit, trajectories=20
+        noise = NoiseModel.uniform_depolarizing(0.02, 0.04)
+        circuit = random_circuits.brickwork_circuit(4, 2, seed=7)
+        simulator = {"arrays": TrajectorySimulator, "dd": NoisyDDSimulator}[
+            engine
+        ]
+        default = simulator(noise, seed=9).run(circuit, trajectories=12)
+        assert default.metadata["executor"] == "inline"
+        runs = [
+            simulator(noise, seed=9).run(circuit, trajectories=12, **kwargs)
+            for kwargs in (
+                {"n_jobs": 1},
+                {"n_jobs": 2, "executor": "thread"},
+                {"n_jobs": 2, "executor": "process"},
+            )
+        ]
+        for run in [default] + runs:
+            assert run.metadata["chunks"] == min(12, 8)
+            assert np.array_equal(run.probs, default.probs)
+            if engine == "dd":
+                assert run.mean_nodes == default.mean_nodes
+                assert run.peak_nodes == default.peak_nodes
+        few = simulator(noise, seed=9).run(circuit, trajectories=3)
+        assert few.metadata["chunks"] == 3
+        assert _no_leaked_children()
+
+    def test_seeded_digest_is_stable_across_processes(self, tmp_path):
+        """Two fresh processes sharing one cache home print the same
+        digest, equal to this process's: a seeded result depends only on
+        the circuit, noise model, seed, and trajectory count."""
+        script = (
+            "import hashlib\n"
+            "from repro.arrays.noise import NoiseModel\n"
+            "from repro.arrays.trajectories import TrajectorySimulator\n"
+            "from repro.circuits import random_circuits\n"
+            "noise = NoiseModel.uniform_depolarizing(0.02, 0.05)\n"
+            "circuit = random_circuits.brickwork_circuit(5, 3, seed=8)\n"
+            "result = TrajectorySimulator(noise, seed=11).run(\n"
+            "    circuit, 256, n_jobs=2\n"
+            ")\n"
+            "print(result.metadata['chunks'],\n"
+            "      hashlib.sha256(result.probs.tobytes()).hexdigest())\n"
         )
-        explicit = TrajectorySimulator(noise, seed=9)._run_serial(
-            circuit, 20
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["XDG_CACHE_HOME"] = str(tmp_path / "cache-home")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH", "")) if p
         )
-        assert np.array_equal(default.probs, explicit.probs)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout.split()
+            for _ in range(2)
+        ]
+        noise = NoiseModel.uniform_depolarizing(0.02, 0.05)
+        circuit = random_circuits.brickwork_circuit(5, 3, seed=8)
+        local = TrajectorySimulator(noise, seed=11).run(circuit, 256, n_jobs=1)
+        expected = ["8", hashlib.sha256(local.probs.tobytes()).hexdigest()]
+        assert outputs == [expected, expected]
+
+    def test_thread_and_process_executors_agree_bitwise(self):
+        noise = NoiseModel.uniform_depolarizing(0.02, 0.05)
+        circuit = random_circuits.random_circuit(3, 6, seed=5)
+        threaded = TrajectorySimulator(noise, seed=11).run(
+            circuit, trajectories=12, n_jobs=2, executor="thread"
+        )
+        pooled = TrajectorySimulator(noise, seed=11).run(
+            circuit, trajectories=12, n_jobs=2, executor="process"
+        )
+        assert threaded.metadata["executor"] == "thread"
+        assert pooled.metadata["executor"] == "process"
+        assert (
+            threaded.probabilities() == pooled.probabilities()
+        ).all()
 
     def test_dd_bitwise_identical_across_jobs(self):
         noise = NoiseModel.uniform_depolarizing(0.02, 0.04)

@@ -292,15 +292,14 @@ class TestRouting:
         assert job_a.job_id != job_b.job_id
         assert routing_key(job_a) == routing_key(job_b)
 
-    def test_uncacheable_jobs_still_route_deterministically(self):
-        from repro.core.options import SimOptions
+    def test_uncacheable_jobs_still_route_deterministically(self, monkeypatch):
+        from repro.service import cache as service_cache
 
-        # method="auto" has no cache key (the kernel the autotuner
-        # picks may differ by machine); routing must still be
-        # deterministic.
-        options = SimOptions.from_kwargs(method="auto")
-        job_a = JobSpec(ghz(3), backend="arrays", options=options)
-        job_b = JobSpec(ghz(3), backend="arrays", options=options)
+        # A job the result cache cannot key must still route
+        # deterministically, through the hash of its canonical JSON.
+        monkeypatch.setattr(service_cache, "request_key", lambda *a: None)
+        job_a = JobSpec(ghz(3), backend="arrays")
+        job_b = JobSpec(ghz(3), backend="arrays")
         key = routing_key(job_a)
         assert key.startswith("route:")
         assert key == routing_key(job_b)

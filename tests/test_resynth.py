@@ -15,6 +15,7 @@ from repro.compile import (
     synthesize_canonical,
     synthesize_two_qubit,
 )
+from repro.compile.resynth import _verified
 from tests.conftest import random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -182,6 +183,33 @@ class TestResynth2qBlocks:
         assert out.two_qubit_gate_count() <= circuit.two_qubit_gate_count()
         assert allclose_up_to_global_phase(
             circuit_unitary(circuit), circuit_unitary(out), tol=1e-6
+        )
+
+    def test_acceptance_is_absolute(self):
+        """A candidate within np.allclose's default rtol=1e-5 of its
+        target, but 4e-6 off on one entry, is rejected."""
+        ops = synthesize_two_qubit(random_unitary(4, 7), 0, 1)
+        circuit = QuantumCircuit(2)
+        circuit.operations = list(ops)
+        exact = circuit_unitary(circuit)
+        assert _verified(ops, exact, [0, 1])
+        nudged = exact.copy()
+        nudged[0, 0] += 4e-6
+        assert np.allclose(nudged, exact, atol=1e-7)
+        assert not _verified(ops, nudged, [0, 1])
+
+    def test_level3_compile_does_not_drift(self):
+        """Regression: with the relative tolerance, level 3 accepted a
+        block 4.1e-6 off its target on this circuit and the compiled
+        circuit drifted by 8.2e-6 from its input."""
+        from repro.compile import compile_circuit
+
+        circuit = random_circuits.random_clifford_t_circuit(
+            4, 32, seed=1476467833, t_prob=0.15
+        )
+        out = compile_circuit(circuit, optimization_level=3, seed=810).circuit
+        assert allclose_up_to_global_phase(
+            circuit_unitary(circuit), circuit_unitary(out), tol=1e-9
         )
 
     def test_dense_cx_ladder_compresses(self):

@@ -271,15 +271,6 @@ class TestRequestKey:
         assert (
             request_key(
                 self.CIRCUIT,
-                "arrays",
-                "full_state",
-                SimOptions.from_kwargs(method="auto"),
-            )
-            is None
-        )
-        assert (
-            request_key(
-                self.CIRCUIT,
                 "tn",
                 "full_state",
                 SimOptions.from_kwargs(plan=object()),
@@ -526,11 +517,15 @@ class TestCacheIntegration:
         assert default_cache().stats()["corrupt"] == 1
         assert_bitwise_equal(cold, fresh)
 
-    def test_uncacheable_method_auto_always_executes(self, monkeypatch):
+    def test_method_auto_is_rejected_before_any_cache_traffic(
+        self, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_CACHE", "1")
         circuit = library.bell_pair()
-        simulate(circuit, backend="arrays", seed=1, method="auto")
-        simulate(circuit, backend="arrays", seed=1, method="auto")
+        with pytest.raises(ValueError, match="einsum.*gather"):
+            simulate(circuit, backend="arrays", seed=1, method="auto")
+        with pytest.raises(ValueError, match="einsum.*gather"):
+            SimOptions(method="auto")
         stats = default_cache().stats()
         assert stats["stores"] == 0 and stats["hits"] == 0
 

@@ -69,37 +69,39 @@ def test_trajectories_with_measurement():
     assert probs[0] == pytest.approx(0.5, abs=0.1)
 
 
-class _ReferenceTrajectorySimulator(TrajectorySimulator):
-    """The old _sample_kraus: materializes K_i|psi> for every branch.
+def _reference_sample_kraus_batched(states, channel, targets, num_qubits, rng):
+    """The all-branches oracle: materializes K_i|psi_b> for every branch.
 
-    Kept verbatim as the regression oracle — the reduced-density-matrix
-    rewrite must pick the same branches from the same RNG stream and
-    produce the same normalized states.
+    Draws the same ``(batch,)`` vector of uniforms as
+    :func:`repro.arrays.batched.sample_kraus_batched` and picks, column by
+    column, the first branch whose cumulative weight reaches the draw —
+    so the reduced-density-matrix sampler must choose the same branches
+    and produce the same normalized states.
     """
-
-    def _sample_kraus(self, state, channel, targets, n):
-        weights = []
-        candidates = []
-        for index in range(len(channel.operators)):
-            candidate = channel.apply_operator(state, index, targets, num_qubits=n)
-            weight = float(np.real(np.vdot(candidate, candidate)))
-            weights.append(weight)
-            candidates.append(candidate)
-        total = sum(weights)
-        pick = self._rng.random() * total
+    picks = rng.random(states.shape[1])
+    for b in range(states.shape[1]):
+        column = states[:, b].copy()
+        candidates = [
+            channel.apply_operator(column, index, targets, num_qubits=num_qubits)
+            for index in range(len(channel.operators))
+        ]
+        weights = [float(np.real(np.vdot(c, c))) for c in candidates]
+        pick = picks[b] * sum(weights)
+        chosen = len(weights) - 1
         cumulative = 0.0
-        for weight, candidate in zip(weights, candidates):
+        for index, weight in enumerate(weights):
             cumulative += weight
             if pick <= cumulative:
-                norm = np.sqrt(max(weight, 1e-300))
-                state[...] = candidate / norm
-                return
-        state[...] = candidates[-1] / np.sqrt(max(weights[-1], 1e-300))
+                chosen = index
+                break
+        states[:, b] = candidates[chosen] / np.sqrt(max(weights[chosen], 1e-300))
+    return states
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17])
-def test_kraus_sampling_matches_reference_trajectories(seed):
-    """Seeded trajectories are identical to the old all-branches path."""
+def test_kraus_sampling_matches_reference_trajectories(seed, monkeypatch):
+    """Seeded batched trajectories match the all-branches oracle."""
+    from repro.arrays import batched
     from repro.arrays.noise import depolarizing, two_qubit_depolarizing
 
     noise = NoiseModel(
@@ -108,11 +110,47 @@ def test_kraus_sampling_matches_reference_trajectories(seed):
         default_2q=two_qubit_depolarizing(0.1),
     )
     circuit = library.qft(4)
-    new = TrajectorySimulator(noise, seed=seed).run(circuit, trajectories=60)
-    old = _ReferenceTrajectorySimulator(noise, seed=seed).run(
-        circuit, trajectories=60
+    new = batched.run_trajectory_batch(
+        circuit, noise, 60, np.random.default_rng(seed)
     )
-    assert np.array_equal(new.probabilities(), old.probabilities())
+    monkeypatch.setattr(
+        batched, "sample_kraus_batched", _reference_sample_kraus_batched
+    )
+    old = batched.run_trajectory_batch(
+        circuit, noise, 60, np.random.default_rng(seed)
+    )
+    assert np.allclose(new, old, rtol=0, atol=1e-12)
+
+
+def test_batched_branch_weights_match_materialized_branches():
+    """For every column of a random batch, tr(K rho_b K^dag) equals
+    ||K|psi_b>||^2, and sampling leaves every column normalized."""
+    from repro.arrays.batched import (
+        batched_branch_weights,
+        batched_reduced_density_matrices,
+        sample_kraus_batched,
+    )
+    from repro.arrays.noise import two_qubit_depolarizing
+
+    rng = np.random.default_rng(5)
+    states = rng.standard_normal((16, 6)) + 1j * rng.standard_normal((16, 6))
+    states /= np.linalg.norm(states, axis=0)
+    for channel, targets in (
+        (two_qubit_depolarizing(0.2), [3, 1]),
+        (amplitude_damping(0.3), [2]),
+    ):
+        rho = batched_reduced_density_matrices(states, targets, 4)
+        weights = batched_branch_weights(rho, channel.operators)
+        for b in range(states.shape[1]):
+            for index in range(len(channel.operators)):
+                branch = channel.apply_operator(
+                    states[:, b], index, targets, num_qubits=4
+                )
+                assert weights[b, index] == pytest.approx(
+                    float(np.real(np.vdot(branch, branch))), abs=1e-12
+                )
+        sample_kraus_batched(states, channel, targets, 4, rng)
+        assert np.allclose(np.linalg.norm(states, axis=0), 1.0, atol=1e-12)
 
 
 def test_branch_weights_match_materialized_branches():

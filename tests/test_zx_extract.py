@@ -1,5 +1,7 @@
 """Tests for circuit extraction from reduced ZX-diagrams."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.arrays import allclose_up_to_global_phase, circuit_unitary
@@ -112,6 +114,33 @@ def test_stuck_gadget_raises_cleanly():
     assert allclose_up_to_global_phase(
         circuit_unitary(circuit), circuit_unitary(extracted), tol=1e-6
     )
+
+
+def test_gadget_pivot_skips_frontier_spider_touching_an_input():
+    """A frontier spider wired to its output, an input and a gadget hub
+    has two boundary neighbours: the pivot step must pick the output,
+    find the pivot blocked by the input, and leave the diagram as it was
+    (it once raised ``ValueError: too many values to unpack``)."""
+    from repro.zx import EdgeType, VertexType, ZXDiagram
+    from repro.zx.extract import _pivot_gadget_at_frontier
+
+    d = ZXDiagram()
+    i = d.add_vertex(VertexType.BOUNDARY)
+    o = d.add_vertex(VertexType.BOUNDARY)
+    v = d.add_vertex(VertexType.Z)
+    hub = d.add_vertex(VertexType.Z)
+    leaf = d.add_vertex(VertexType.Z, Fraction(1, 4))
+    d.add_edge(v, o, EdgeType.SIMPLE)
+    d.add_edge(v, i, EdgeType.HADAMARD)
+    d.add_edge(v, hub, EdgeType.HADAMARD)
+    d.add_edge(hub, leaf, EdgeType.HADAMARD)
+    d.inputs = [i]
+    d.outputs = [o]
+    before = {u: dict(d.edges[u]) for u in d.vertices()}
+    frontier = [v]
+    assert _pivot_gadget_at_frontier(d, frontier, {i}) is False
+    assert frontier == [v]
+    assert {u: dict(d.edges[u]) for u in d.vertices()} == before
 
 
 def test_extract_arity_mismatch():
