@@ -1,7 +1,8 @@
-"""The chunked trajectory engine inline and on worker pools.
+"""The chunked trajectory engine inline and on the thread pool.
 
 Pytest benchmarks time the engine inline (``n_jobs=1`` — batched
-kernels, no pool) and pooled on the workloads it was built for.  Running
+kernels, no pool) and on worker threads on the workloads it was built
+for.  Running
 the module as a script reproduces the headline measurement — a
 1000-trajectory noisy brickwork simulation — and writes
 ``BENCH_parallel.json`` at the repository root:
@@ -75,8 +76,7 @@ def run_headline(
 
     Wall-clock seconds for the engine at ``n_jobs`` in {1, 2, 4} on the
     same seeded workload, plus the bitwise-identity certificate for the
-    seeded outputs.  Pool timings include worker spawn — the engine pays
-    it honestly.
+    seeded outputs.  Pooled timings include starting the worker threads.
     """
     circuit, noise = _workload(num_qubits, depth)
 
@@ -109,7 +109,8 @@ def run_headline(
         "outputs_identical_njobs_1_2_4": identical,
         "note": (
             "engine chunks are executed by the batched vectorized kernel "
-            "(repro.arrays.batched); pooled timings include worker spawn"
+            "(repro.arrays.batched); pooled timings run the chunks on "
+            "worker threads and include starting them"
         ),
     }
 

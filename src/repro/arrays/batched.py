@@ -8,8 +8,9 @@ trails, which is exactly the layout the gate kernels in
 batch axes").  One gate application, one noise-sampling step, or one
 measurement collapse then costs a single set of numpy calls for the
 whole chunk instead of ``batch`` Python-level round trips, which is
-where the single-core speedup of the parallel engine comes from; worker
-processes multiply it on multi-core machines.
+where the single-core speedup of the parallel engine comes from; pool
+threads add to it on multi-core machines where the stacks are large
+enough for numpy to release the GIL.
 
 Randomness is drawn from one ``numpy.random.Generator`` per chunk in a
 fixed order (one vector of uniforms per stochastic event, batch-indexed),

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import parallel_shm
 from ..circuits.circuit import QuantumCircuit
 from ..obs import metrics as obs_metrics
 from ..obs.progress import ProgressReporter
@@ -32,8 +31,8 @@ from .noise import NoiseModel
 class TrajectoryResult:
     """Averaged outcome distribution over many stochastic trajectories.
 
-    ``metadata`` audits how the run executed: the executor and chunk
-    layout, and the shared-memory transfer volume (``shm_bytes``).
+    ``metadata`` audits how the run executed: inline or on a thread
+    pool, the worker count, and the chunk layout.
     """
 
     def __init__(
@@ -70,7 +69,7 @@ def _trajectory_chunk_worker(
         Optional[ResourceBudget],
     ],
 ) -> np.ndarray:
-    """Module-level (picklable) chunk task: partial probability sums."""
+    """Chunk task: partial probability sums of one chunk."""
     circuit, noise_model, count, seed_seq, budget = spec
     return trajectory_chunk_probabilities(
         circuit, noise_model, count, seed_seq, budget
@@ -85,10 +84,10 @@ class TrajectorySimulator:
     them), each chunk gets an independent child seed
     (``SeedSequence.spawn``) and is executed by the batched vectorized
     kernel (:mod:`repro.arrays.batched`) — inline when the resolved job
-    count is 1, on a worker pool otherwise.  Chunk boundaries, seeds, and
+    count is 1, on a thread pool otherwise.  Chunk boundaries, seeds, and
     merge order depend only on the trajectory count and the seed, so a
-    seeded run is **bitwise identical at any** ``n_jobs``, on either
-    executor, in every process.
+    seeded run is **bitwise identical at any** ``n_jobs``, in every
+    process.
 
     ``budget`` caps each chunk: workers inherit
     ``budget.share(n_jobs)`` (memory divided across concurrent workers,
@@ -113,25 +112,13 @@ class TrajectorySimulator:
         trajectories: int = 100,
         n_jobs: Optional[int] = None,
         progress: Optional[callable] = None,
-        executor: Optional[str] = None,
-        shm: Optional[bool] = None,
     ) -> TrajectoryResult:
         n = circuit.num_qubits
         jobs = resolve_jobs(n_jobs)
         sizes = chunk_sizes(trajectories)
         seeds = spawn_seeds(self.seed, len(sizes))
-        # Each chunk ships a (2**n,) float64 partial back; over the shm
-        # plane those segments are parent-side allocations charged once
-        # against the run, not per worker.
-        reserved = 0
-        if parallel_shm.enabled() and shm is not False:
-            partial_bytes = (2**n) * 8
-            if partial_bytes >= parallel_shm.min_bytes():
-                reserved = partial_bytes * len(sizes)
         worker_budget = (
-            self.budget.share(
-                min(jobs, max(len(sizes), 1)), reserved=reserved
-            )
+            self.budget.share(min(jobs, max(len(sizes), 1)))
             if self.budget is not None
             else None
         )
@@ -154,8 +141,6 @@ class TrajectorySimulator:
             specs,
             n_jobs=jobs,
             on_result=_chunk_done,
-            executor=executor,
-            shm=shm,
             stats=stats,
         )
         total = np.zeros(2**n)
@@ -167,7 +152,6 @@ class TrajectorySimulator:
             "n_jobs": stats.jobs,
             "chunks": len(sizes),
             "chunk_size": max(sizes) if sizes else 0,
-            "shm_bytes": stats.shm_bytes,
         }
         return TrajectoryResult(
             total / max(trajectories, 1), trajectories, metadata

@@ -82,14 +82,7 @@ class SimulationResult:
     ``planned`` for TN; ``tableau_rows`` for stab).  When dispatched
     with ``backend="auto"``, ``metadata["auto"]`` records the selected
     backend, the rule that fired, and the analyzed circuit features.
-
-    ``_shm_fields_`` marks the dense state for the zero-copy transfer
-    plane (:mod:`repro.parallel_shm`): when a result crosses a process
-    pool, a large ``state`` travels as one shared-memory segment instead
-    of through the pickle pipe, and arrives as a zero-copy view.
     """
-
-    _shm_fields_ = ("state",)
 
     def __init__(
         self,
@@ -125,8 +118,8 @@ class _BatchCache:
     pre-work across a sweep: circuits are keyed by structural identity
     (register size plus the operation sequence — :class:`Operation` is
     hashable), so repeated circuits — and, for fusion, repeats *after
-    measurement stripping* — analyze and fuse once.  Each worker process
-    keeps its own cache for its chunk of the sweep.
+    measurement stripping* — analyze and fuse once.  Each pooled chunk
+    keeps its own cache for its part of the sweep.
     """
 
     def __init__(self) -> None:
@@ -429,8 +422,8 @@ def _execute(
                     }
                     if approx:
                         obs_metrics.counter_add("dispatch.approximate.count")
-                    # Infidelity merges as a max across processes, so the
-                    # aggregated gauge is the *worst* certified bound.
+                    # Infidelity merges as a max across pooled chunks, so
+                    # the aggregated gauge is the *worst* certified bound.
                     obs_metrics.gauge_max(
                         "sim.infidelity_estimate", 1.0 - fidelity
                     )
@@ -623,7 +616,7 @@ def _simulate_prepared(
 def _simulate_many_chunk_worker(
     spec: Tuple[Sequence[QuantumCircuit], str, SimOptions],
 ) -> List[SimulationResult]:
-    """Module-level (picklable) sweep chunk: simulate circuits in order.
+    """Sweep chunk: simulate circuits in order.
 
     Each worker keeps its own :class:`_BatchCache`, so repeated circuit
     structures within its chunk analyze and fuse once.
@@ -660,21 +653,15 @@ def simulate_many(
     redundant pre-work.
 
     ``n_jobs`` (argument, else ``options["n_jobs"]``, else the
-    ``REPRO_JOBS`` environment variable) runs the sweep on a spawn-safe
-    process pool over contiguous chunks; results are returned in input
-    order regardless of the worker count.  Workers inherit
-    ``budget.share(n_jobs)`` and a worker's
-    :class:`~repro.resources.ResourceExhausted` surfaces in the parent
+    ``REPRO_JOBS`` environment variable) runs the sweep on a thread pool
+    over contiguous chunks, and pooled results record
+    ``metadata["batch"]["executor"] = "thread"``; results are returned
+    in input order regardless of the worker count.  Threads help where
+    numpy releases the GIL on large states and gain nothing on small
+    ones.  Workers inherit ``budget.share(n_jobs)`` and a worker's
+    :class:`~repro.resources.ResourceExhausted` surfaces in the caller
     after the pool has drained — individual budget trips inside a worker
     still degrade through the normal per-circuit fallback chain first.
-
-    ``options["executor"]`` selects threads instead of processes, and
-    ``options["shm"]`` overrides the shared-memory transfer policy; on
-    the (default) process pool, each result's dense state above the
-    :func:`repro.parallel_shm.min_bytes` threshold returns through one
-    shared-memory segment instead of the pickle pipe, and the per-sweep
-    shm volume is recorded as ``metadata["batch"]["shm_bytes"]`` on
-    every result.
     """
     opts = SimOptions.from_kwargs(**options)
     if param_bindings is not None:
@@ -693,8 +680,7 @@ def simulate_many(
         opts.progress, "circuits", total=len(circuits)
     )
     # Inner runs report at sweep granularity only: the per-circuit gate
-    # streams would interleave non-monotonically, and callbacks must not
-    # cross the pickle boundary into workers.
+    # streams of concurrent chunks would interleave non-monotonically.
     inner_opts = (
         opts if opts.progress is None else _dc_replace(opts, progress=None)
     )
@@ -722,8 +708,6 @@ def simulate_many(
             specs,
             n_jobs=jobs,
             on_result=_chunk_done,
-            executor=opts.executor,
-            shm=opts.shm,
             stats=stats,
         )
         results = [result for chunk in chunks for result in chunk]
@@ -741,7 +725,6 @@ def simulate_many(
         result.metadata["batch"] = {"index": index, "size": len(results)}
         if stats is not None:
             result.metadata["batch"]["executor"] = stats.executor
-            result.metadata["batch"]["shm_bytes"] = stats.shm_bytes
     return results
 
 

@@ -77,7 +77,6 @@ class TNBackend(Backend):
                 plan=plan,
                 budget=options.budget,
                 n_jobs=options.n_jobs,
-                executor=options.executor,
             )
             # Slice contraction *and* the final summation parallelize
             # over this worker count (elementwise-chunked summation is

@@ -21,22 +21,20 @@ from ..resources import ResourceBudget, default_budget
 
 RESULT_INVARIANT_FIELDS = (
     "n_jobs",
-    "executor",
-    "shm",
     "trace",
     "progress",
     "cache",
 )
 """Options that can never change *which bits* a simulation produces.
 
-``n_jobs``/``executor``/``shm`` only change how work is scheduled and
-how bytes travel (the parallel engine's chunk boundaries and RNG streams
-are worker-count and executor independent — PRs 4/6's bitwise guarantee);
-``trace`` observes without steering; ``progress`` streams events (and
-can only *abort* a run, never alter a completed one); ``cache`` decides
-whether a result is stored/served, not what it is.  The persistent
-result cache (:mod:`repro.service.cache`) excludes exactly these fields
-from its content-addressed key, so e.g. a run at ``n_jobs=8`` dedupes
+``n_jobs`` only changes how work is scheduled (the parallel engine's
+chunk boundaries and RNG streams are worker-count independent — the
+engine's bitwise guarantee); ``trace`` observes without steering;
+``progress`` streams events (and can only *abort* a run, never alter a
+completed one); ``cache`` decides whether a result is stored/served,
+not what it is.  The persistent result cache
+(:mod:`repro.service.cache`) excludes exactly these fields from its
+content-addressed key, so e.g. a run at ``n_jobs=8`` dedupes
 against the same request at ``n_jobs=1``.  Every other field — ``seed``
 included — is part of the key.
 """
@@ -218,21 +216,14 @@ class SimOptions:
             part of the persistent result cache's key.
         plan: Tensor-network contraction plan (``repro.tn.contraction``).
         track_peak: Record the DD backend's peak node count.
-        n_jobs: Worker-process count for batch entry points
-            (:func:`repro.core.simulate_many`); ``None`` defers to the
-            ``REPRO_JOBS`` environment variable, and unset means one job,
-            which runs inline.  ``0`` or negative means "all available
-            cores".  Single-circuit entry points ignore it.
-        executor: Pooled-loop executor, ``"process"`` (spawn-safe worker
-            processes, the default) or ``"thread"`` (in-process threads —
-            zero serialization, concurrent wherever numpy releases the
-            GIL).  ``None`` defers to ``REPRO_EXECUTOR``, then to
-            processes.  Results are bitwise identical either way.
-        shm: Shared-memory result transfer for process pools: ``None``
-            (default) follows the ``REPRO_SHM`` environment policy —
-            on wherever POSIX shared memory works — ``False`` forces the
-            pickle path, ``True`` requires shm where available.  Changes
-            how bytes travel between processes, never which bytes.
+        n_jobs: Worker-thread count for batch entry points
+            (:func:`repro.core.simulate_many`) and for TN bond slicing;
+            ``None`` defers to the ``REPRO_JOBS`` environment variable,
+            and unset means one job, which runs inline.  ``0`` or
+            negative means "all available cores".  Results are bitwise
+            identical at every count; threads run side by side only
+            where numpy releases the GIL.  Other single-circuit paths
+            ignore it.
         budget: :class:`~repro.resources.ResourceBudget` caps enforced
             inside every backend's hot loop; a tripped budget raises
             :class:`~repro.resources.ResourceExhausted` and triggers the
@@ -251,9 +242,9 @@ class SimOptions:
             trajectory chunks, and sweep iterations.  Raising from the
             callback (canonically
             :class:`~repro.obs.progress.CancelledError`) cancels the run
-            cleanly.  Not pickled: batch entry points report chunk
-            completions from the parent process and strip the callback
-            from worker options.
+            cleanly.  Batch entry points report chunk completions on
+            the calling thread and strip the callback from worker
+            options.
         cache: Persistent content-addressed result cache
             (:mod:`repro.service.cache`): ``None`` (default) follows the
             ``REPRO_CACHE`` environment policy (off unless set truthy),
@@ -277,8 +268,6 @@ class SimOptions:
     plan: Optional[Any] = None
     track_peak: bool = False
     n_jobs: Optional[int] = None
-    executor: Optional[str] = None
-    shm: Optional[bool] = None
     budget: Optional[ResourceBudget] = None
     trace: bool = False
     progress: Optional[Callable[[Any], None]] = None
@@ -319,12 +308,6 @@ class SimOptions:
             kwargs["accuracy"] = None
         if "trace" not in kwargs:
             kwargs["trace"] = _trace_env_enabled()
-        executor = kwargs.get("executor")
-        if executor is not None and executor not in ("process", "thread"):
-            raise ValueError(
-                f"unknown executor '{executor}'; "
-                "choose 'process' or 'thread'"
-            )
         level = kwargs.get("optimization_level")
         if level is not None and level not in (0, 1, 2, 3):
             raise ValueError(

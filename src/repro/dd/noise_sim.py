@@ -34,8 +34,8 @@ from .vector import VectorDD
 class NoisyDDResult:
     """Averaged outcome distribution over DD trajectories.
 
-    ``metadata`` audits the execution: executor, chunk layout, and
-    shared-memory transfer volume.
+    ``metadata`` audits the execution: inline or on a thread pool, the
+    worker count, and the chunk layout.
     """
 
     def __init__(
@@ -76,8 +76,8 @@ def _chunk_progress(
     """``on_result`` hook advancing a reporter by cumulative chunk sizes.
 
     Chunk specs carry their trajectory/shot count at position 2; events
-    fire in the parent as each chunk's result is consumed, so the user's
-    callback never crosses the pickle boundary.
+    fire on the calling thread as each chunk's result is consumed, in
+    chunk order, so the user's callback sees a monotonic count.
     """
     if progress is None:
         return None
@@ -98,7 +98,7 @@ def _dd_trajectory_chunk_worker(
         QuantumCircuit, Optional[NoiseModel], int, np.random.SeedSequence
     ],
 ) -> Tuple[np.ndarray, List[int], int]:
-    """Module-level (picklable) chunk task for :meth:`NoisyDDSimulator.run`.
+    """Chunk task for :meth:`NoisyDDSimulator.run`.
 
     Returns the chunk's partial probability sum, the per-trajectory node
     counts (in trajectory order), and the chunk's peak node count.
@@ -220,7 +220,7 @@ class NoisyDDSimulator:
     trajectories (or shots) are split by :func:`repro.parallel.chunk_sizes`
     into ``min(total, 8)`` chunks with one ``SeedSequence`` child per
     chunk, executed inline when the resolved job count is 1 or on a
-    worker pool otherwise.  Chunk boundaries, seeds, and merge order
+    thread pool otherwise.  Chunk boundaries, seeds, and merge order
     (probabilities summed and node counts concatenated in chunk order;
     sampling counts merged by key) depend only on the total and the
     seed, so seeded results are bitwise identical at any ``n_jobs``.
@@ -244,8 +244,6 @@ class NoisyDDSimulator:
         trajectories: int = 100,
         n_jobs: Optional[int] = None,
         progress: Optional[callable] = None,
-        executor: Optional[str] = None,
-        shm: Optional[bool] = None,
     ) -> NoisyDDResult:
         specs = self._chunk_specs(circuit, trajectories)
         stats = RunStats()
@@ -254,8 +252,6 @@ class NoisyDDSimulator:
             specs,
             n_jobs=resolve_jobs(n_jobs),
             on_result=_chunk_progress(specs, progress, "trajectories", "dd"),
-            executor=executor,
-            shm=shm,
             stats=stats,
         )
         obs_metrics.counter_add("trajectories.count", trajectories)
@@ -275,7 +271,6 @@ class NoisyDDSimulator:
                 "executor": stats.executor,
                 "n_jobs": stats.jobs,
                 "chunks": len(specs),
-                "shm_bytes": stats.shm_bytes,
             },
         )
 
@@ -285,8 +280,6 @@ class NoisyDDSimulator:
         shots: int,
         n_jobs: Optional[int] = None,
         progress: Optional[callable] = None,
-        executor: Optional[str] = None,
-        shm: Optional[bool] = None,
     ) -> Dict[str, int]:
         """One trajectory per shot, sampled directly from the diagram.
 
@@ -299,8 +292,6 @@ class NoisyDDSimulator:
             specs,
             n_jobs=resolve_jobs(n_jobs),
             on_result=_chunk_progress(specs, progress, "shots", "dd"),
-            executor=executor,
-            shm=shm,
         )
         counts: Dict[str, int] = {}
         for partial in partials:

@@ -19,8 +19,8 @@ Metric names are dotted lowercase (``dd.unique_table.size``,
 ``tn.plan.peak_cost``); the Prometheus exporter in
 :mod:`repro.obs.export` rewrites dots to underscores.  Names shared by
 several layers are declared here as constants so producers
-(:mod:`repro.parallel`, :mod:`repro.parallel_shm`) and consumers
-(exporters, tests) cannot drift apart.
+(:mod:`repro.parallel`) and consumers (exporters, tests) cannot drift
+apart.
 """
 
 from __future__ import annotations
@@ -32,16 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from . import trace
 
 PARALLEL_CHUNK_WALL_S = "parallel.chunk.wall_s"
-"""Histogram: wall seconds of each pooled chunk (worker clock)."""
-
-PARALLEL_SHM_BYTES = "parallel.shm.bytes"
-"""Counter: bytes moved through shared-memory segments instead of pickle."""
-
-PARALLEL_SHM_SEGMENTS = "parallel.shm.segments"
-"""Counter: shared-memory segments created for result transfer."""
-
-PARALLEL_SHM_SWEPT = "parallel.shm.swept"
-"""Counter: leftover segments reclaimed by the teardown sweep."""
+"""Histogram: wall seconds of each pooled chunk."""
 
 TRAJ_BATCH_BYTES = "trajectories.batch.bytes"
 """Gauge (max): bytes of the largest batched trajectory state stack."""

@@ -4,17 +4,17 @@ The ROADMAP's streaming facade: pass ``progress=callback`` to
 :func:`repro.core.simulate` (or directly to the trajectory simulators
 and :func:`~repro.verify.check_equivalence_random_stimuli`) and the
 callback receives :class:`ProgressEvent`s as work completes — gates
-applied in a backend's gate loop, trajectories finished (per chunk when
-a process pool is running: worker counts are reported as each chunk's
-result is consumed in the parent), stimuli checked, circuits of a sweep
-done.
+applied in a backend's gate loop, trajectories finished (per chunk:
+counts are reported on the calling thread as each chunk's result is
+consumed, in chunk order, whether the chunks ran inline or on a thread
+pool), stimuli checked, circuits of a sweep done.
 
 Cancellation composes with the existing :class:`repro.resources.Deadline`
 plumbing rather than adding a second mechanism: a callback that raises —
 canonically :data:`CancelledError` — propagates out of the same gate-loop
 checkpoints where budget deadlines are checked, unwinding through the
 dispatcher (which only absorbs ``ResourceExhausted``) and draining any
-:class:`~repro.parallel.ProcessPool` on the way out, exactly like a
+:class:`~repro.parallel.ThreadPool` on the way out, exactly like a
 tripped time budget.
 
 Progress is independent of tracing: callbacks fire whether or not

@@ -23,9 +23,9 @@ Design constraints, in priority order:
    (``time.perf_counter``), so trace spans and result metadata can
    never disagree.
 3. **Thread/process-safe identity.**  Span ids embed the process id and
-   a per-process atomic counter, so spans exported from worker
-   processes (see :mod:`repro.parallel`) merge into the parent's
-   recorder without collisions.
+   a per-process atomic counter, so spans exported from pool worker
+   threads (see :mod:`repro.parallel`) or from other processes merge
+   into the caller's recorder without collisions.
 """
 
 from __future__ import annotations
@@ -193,9 +193,10 @@ class FlightRecorder:
     def adopt(
         self, span_dicts: Iterable[Dict[str, Any]], parent_id: Optional[str]
     ) -> None:
-        """Merge spans exported from another process into this recorder.
+        """Merge spans exported from another session into this recorder.
 
-        Worker span ids embed the worker pid, so they cannot collide
+        Span ids embed the pid and a process-wide counter, so a pool
+        worker thread's spans (or another process's) cannot collide
         with local ids; orphan spans (no parent in the batch) are
         re-parented under ``parent_id`` to keep one connected tree.
         """

@@ -8,42 +8,34 @@ module is the one seam they all share:
 - :func:`resolve_jobs` — worker-count policy (explicit ``n_jobs``
   argument, else the ``REPRO_JOBS`` environment variable, else one job,
   which runs inline);
-- :func:`resolve_executor` — executor policy (explicit ``executor``
-  argument, else the ``REPRO_EXECUTOR`` environment variable, else
-  worker processes).  ``"process"`` is a spawn-context
-  ``ProcessPoolExecutor``; ``"thread"`` runs chunks on an in-process
-  thread pool — zero pickling, zero shared-memory traffic, and real
-  concurrency wherever numpy releases the GIL (the BLAS-heavy batched
-  kernels), at the cost of sharing the GIL on pure-Python work;
 - :func:`spawn_seeds` / :func:`chunk_sizes` — deterministic work
   splitting.  Chunk boundaries and per-chunk RNG streams
   (``numpy.random.SeedSequence.spawn``) depend only on the task size and
-  the seed, never on the worker count *or the executor*, so a seeded run
-  is bitwise reproducible at any ``n_jobs`` on either executor;
-- :class:`ProcessPool` / :class:`ThreadPool` — context-manager pools
-  that always drain cleanly: a crashing task, a ``KeyboardInterrupt``,
-  or an abandoned result iterator cancels the remaining work and joins
-  every worker before control leaves the ``with`` block;
+  the seed, never on the worker count, so a seeded run is bitwise
+  reproducible at any ``n_jobs``;
+- :class:`ThreadPool` — the pool every pooled loop and the job service
+  (:mod:`repro.service`) run on.  It always drains cleanly: a crashing
+  task, a ``KeyboardInterrupt``, or an abandoned result iterator cancels
+  the remaining work and joins every worker thread before control
+  leaves the ``with`` block;
 - :func:`parallel_map` / :func:`task_stream` — the two call shapes the
   library uses (eager ordered map; lazy ordered stream with early exit).
 
-Process-pool task functions must be module-level (picklable by
-reference) and task payloads must pickle; circuits, noise models,
-budgets, and ``SeedSequence`` objects all do.  The pool uses the
-``spawn`` start method everywhere — ``fork`` is unsafe once numpy's
-threadpools exist.  Thread-pool tasks have no such constraint.
+Pooled work runs on threads of this process: tasks and results cross
+no serialization boundary and a pool starts in well under a
+millisecond.  Threads run side by side wherever numpy releases the GIL
+— the batched trajectory kernel and dense sweeps on large states, TN
+slice contractions — and take turns on pure-Python work (DD
+trajectories, small chunks), where a pooled call gains nothing over
+the inline one and can be slower.  On 2 vCPUs a spawn-context process
+pool lost to threads on nearly every pooled loop of the library,
+because worker start-up and pickling outweighed the work.
 
-Large result arrays skip the pickle pipe entirely: when the
-shared-memory plane (:mod:`repro.parallel_shm`) is enabled — the
-default wherever ``multiprocessing.shared_memory`` works — a pooled
-task's result is scanned for arrays at or above the size threshold,
-each is copied once into a named segment, and only the small
-:class:`~repro.parallel_shm.ShmArray` handles are pickled back.  The
-parent attaches zero-copy views and unlinks the names immediately; the
-pool teardown path sweeps the run's leftover segments on *every* exit,
-so a worker killed mid-chunk or a ``KeyboardInterrupt`` in the parent
-cannot leak ``/dev/shm`` entries.  ``REPRO_SHM=0`` opts out; results
-are bitwise identical either way.
+:class:`ProcessPool` is the spawn-context twin of :class:`ThreadPool`
+with the same interface; no library path uses it, and the repository
+benchmark's traced run times its start-up.  :func:`reap_process` is the
+terminate-then-kill teardown that shard managers
+(:mod:`repro.service.remote.cluster`) use for their child processes.
 
 Resource budgets compose: callers hand workers a *share* of their
 :class:`~repro.resources.ResourceBudget` via
@@ -51,21 +43,19 @@ Resource budgets compose: callers hand workers a *share* of their
 workers that allocate concurrently; the wall-clock deadline propagates
 as-is because workers run side by side).  A
 :class:`~repro.resources.ResourceExhausted` raised inside a worker
-pickles back to the parent with its structured context intact and
-surfaces after the pool has been drained, so the registry dispatcher's
-fallback chain sees exactly the error a serial run would have produced.
+surfaces in the caller after the pool has been drained, so the registry
+dispatcher's fallback chain sees exactly the error a serial run would
+have produced.
 
-Observability composes here too: when tracing
-(:mod:`repro.obs.trace`) is enabled in the parent, each pooled task runs
-inside its own trace session in the worker and ships its spans and
-metric snapshot back alongside the result; the parent adopts the spans
-under its current span (worker span ids embed the worker pid, so they
-never collide), merges the metrics, and records every chunk's wall time
-in the ``parallel.chunk.wall_s`` histogram and the run's shm traffic in
-``parallel.shm.bytes``/``parallel.shm.segments``.  Independent of
-tracing, every pooled call can fill a :class:`RunStats` — the executor
-that ran and the shm byte counts — which callers report in result
-metadata.
+Observability composes here too: trace sessions are thread-local, so
+when tracing (:mod:`repro.obs.trace`) is enabled in the caller, each
+pooled task runs inside its own trace session on its worker thread and
+hands its spans and metric snapshot back alongside the result; the
+caller adopts the spans under its current span, merges the metrics, and
+records every chunk's wall time in the ``parallel.chunk.wall_s``
+histogram.  Independent of tracing, every pooled call can fill a
+:class:`RunStats` — whether it ran inline or pooled, on how many
+workers — which callers report in result metadata.
 """
 
 from __future__ import annotations
@@ -75,37 +65,22 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from multiprocessing import get_context
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import parallel_shm
 from .obs import metrics as obs_metrics
 from .obs import trace as obs_trace
-from .obs.metrics import (
-    PARALLEL_CHUNK_WALL_S,
-    PARALLEL_SHM_BYTES,
-    PARALLEL_SHM_SEGMENTS,
-)
+from .obs.metrics import PARALLEL_CHUNK_WALL_S
 
 JOBS_ENV_VAR = "REPRO_JOBS"
 """Environment variable supplying a default worker count.
 
 Set e.g. ``REPRO_JOBS=2`` to run every parallel-capable loop in the
 library (trajectories, random stimuli, ``simulate_many``) on two worker
-processes without touching call sites; an explicit ``n_jobs=`` argument
+threads without touching call sites; an explicit ``n_jobs=`` argument
 always wins.  ``0`` or a negative value means "all available cores".
 """
-
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-"""Environment variable supplying a default executor kind.
-
-``process`` (the default) runs chunks on a spawn-safe process pool;
-``thread`` runs them on an in-process thread pool with zero
-serialization.  An explicit ``executor=`` argument always wins.
-"""
-
-EXECUTORS = ("process", "thread")
 
 DEFAULT_CHUNKS = 8
 """Default number of work chunks a parallel loop is split into.
@@ -113,7 +88,7 @@ DEFAULT_CHUNKS = 8
 Fixed (rather than derived from the worker count or measured speed) so
 that chunk boundaries — and therefore per-chunk RNG streams and merge
 order — depend only on the task size: a seeded run is identical at every
-``n_jobs``, on either executor, in every process.
+``n_jobs``, in every process.
 """
 
 
@@ -125,20 +100,6 @@ def resolve_jobs(n_jobs: Optional[int] = None) -> int:
     if n_jobs <= 0:
         return os.cpu_count() or 1
     return n_jobs
-
-
-def resolve_executor(executor: Optional[str] = None) -> str:
-    """Concrete executor kind: explicit -> ``REPRO_EXECUTOR`` -> ``process``."""
-    if executor is None:
-        executor = (
-            os.environ.get(EXECUTOR_ENV_VAR, "").strip().lower() or "process"
-        )
-    executor = str(executor).lower()
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor '{executor}'; choose from {EXECUTORS}"
-        )
-    return executor
 
 
 def spawn_seeds(seed: int, count: int) -> List[np.random.SeedSequence]:
@@ -173,13 +134,13 @@ def reap_process(process: Any, timeout_s: float = 5.0) -> None:
     """Terminate-then-kill teardown for one child process, always reaped.
 
     The escalation discipline every process owner in the library shares
-    (pool teardown here, shard managers in
-    :mod:`repro.service.remote.cluster`): ask politely with
-    ``terminate()`` (SIGTERM), wait up to ``timeout_s``, then ``kill()``
-    (SIGKILL) and wait again so the child can never linger as a zombie.
-    Duck-typed over both ``subprocess.Popen`` (``poll``/``wait``) and
-    ``multiprocessing.Process`` (``is_alive``/``join``); already-dead
-    children are still waited on once to reap their exit status.
+    (shard managers in :mod:`repro.service.remote.cluster`): ask
+    politely with ``terminate()`` (SIGTERM), wait up to ``timeout_s``,
+    then ``kill()`` (SIGKILL) and wait again so the child can never
+    linger as a zombie.  Duck-typed over both ``subprocess.Popen``
+    (``poll``/``wait``) and ``multiprocessing.Process``
+    (``is_alive``/``join``); already-dead children are still waited on
+    once to reap their exit status.
     """
     is_popen = hasattr(process, "poll")
 
@@ -217,44 +178,44 @@ class RunStats:
     """How one pooled call ran, for the caller's result metadata.
 
     Filled by :func:`parallel_map` / :func:`task_stream` when passed in:
-    the executor that actually ran, its worker count, and the
-    shared-memory traffic.  Collecting stats never perturbs results.
+    ``executor`` is ``"inline"`` or ``"thread"`` and ``jobs`` the worker
+    count.  Collecting stats never perturbs results.
     """
 
-    __slots__ = ("executor", "jobs", "shm_bytes", "shm_segments")
+    __slots__ = ("executor", "jobs")
 
     def __init__(self) -> None:
         self.executor: Optional[str] = None
         self.jobs: int = 1
-        self.shm_bytes: int = 0
-        self.shm_segments: int = 0
 
 
-class ProcessPool:
-    """A spawn-context process pool that always drains cleanly.
+class _DrainingPool:
+    """Context-manager pool that always drains cleanly.
 
     Use as a context manager::
 
-        with ProcessPool(4) as pool:
+        with ThreadPool(4) as pool:
             results = pool.map(fn, tasks)
 
     On *any* exit — normal completion, a task exception, or a
-    ``KeyboardInterrupt`` in the parent — pending tasks are cancelled
-    and every worker process is joined before ``__exit__`` returns, so
-    no child processes leak.  On a hard abort (``BaseException`` that is
-    not an ``Exception``, e.g. ``KeyboardInterrupt``) still-running
-    workers are terminated rather than waited for.
+    ``KeyboardInterrupt`` in the caller — pending tasks are cancelled
+    and every worker is joined before ``__exit__`` returns, so no
+    worker outlives the block.
     """
 
     def __init__(self, n_jobs: int) -> None:
         self.n_jobs = max(1, int(n_jobs))
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor: Optional[Any] = None
         self._futures: List[Any] = []
 
-    def __enter__(self) -> "ProcessPool":
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.n_jobs, mp_context=get_context("spawn")
-        )
+    def _new_executor(self) -> Any:
+        raise NotImplementedError
+
+    def _abort(self, executor: Any) -> None:
+        """Hard-abort hook: stop running tasks instead of waiting them out."""
+
+    def __enter__(self) -> "_DrainingPool":
+        self._executor = self._new_executor()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -262,24 +223,20 @@ class ProcessPool:
         futures, self._futures = self._futures, []
         if executor is None:
             return False
-        try:
-            for future in futures:
-                future.cancel()
-            if exc_type is not None and not (
-                isinstance(exc_type, type) and issubclass(exc_type, Exception)
-            ):
-                # Hard abort (KeyboardInterrupt/SystemExit): don't wait for
-                # running tasks — kill the workers outright.
-                for process in getattr(executor, "_processes", {}).values():
-                    process.terminate()
-            executor.shutdown(wait=True, cancel_futures=True)
-        finally:
-            del executor
+        for future in futures:
+            future.cancel()
+        if exc_type is not None and not (
+            isinstance(exc_type, type) and issubclass(exc_type, Exception)
+        ):
+            self._abort(executor)
+        executor.shutdown(wait=True, cancel_futures=True)
         return False
 
-    def _require_executor(self) -> ProcessPoolExecutor:
+    def _require_executor(self) -> Any:
         if self._executor is None:
-            raise RuntimeError("ProcessPool used outside its context manager")
+            raise RuntimeError(
+                f"{type(self).__name__} used outside its context manager"
+            )
         return self._executor
 
     def submit(self, fn: Callable, *args: Any) -> Any:
@@ -316,204 +273,77 @@ class ProcessPool:
         return list(self.imap(fn, tasks))
 
 
-class ThreadPool:
-    """Thread-pool twin of :class:`ProcessPool` — same interface, no pickling.
+class ThreadPool(_DrainingPool):
+    """A thread pool (threads named ``repro-pool_<i>``) that drains cleanly.
 
-    Tasks run in this process, so payloads and results cross no
-    serialization boundary at all (the zero-copy limit).  Worth it
-    whenever the chunk work releases the GIL — the batched trajectory
-    kernel and TN slice contractions spend their time inside numpy's
-    BLAS calls, which do — and always cheaper to start than a spawned
-    process pool.
+    Tasks run in this process, so payloads and results are handed over
+    as live objects and task functions need not be picklable.  A
+    running task cannot be interrupted from outside; a hard abort
+    cancels the queued tasks and waits for the running ones.
     """
 
-    def __init__(self, n_jobs: int) -> None:
-        self.n_jobs = max(1, int(n_jobs))
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._futures: List[Any] = []
-
-    def __enter__(self) -> "ThreadPool":
-        self._executor = ThreadPoolExecutor(
+    def _new_executor(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
             max_workers=self.n_jobs, thread_name_prefix="repro-pool"
         )
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        executor, self._executor = self._executor, None
-        futures, self._futures = self._futures, []
-        if executor is None:
-            return False
-        for future in futures:
-            future.cancel()
-        executor.shutdown(wait=True, cancel_futures=True)
-        return False
-
-    def _require_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            raise RuntimeError("ThreadPool used outside its context manager")
-        return self._executor
-
-    def submit(self, fn: Callable, *args: Any) -> Any:
-        """Submit one ``fn(*args)`` call; the future is tracked for cleanup."""
-        future = self._require_executor().submit(fn, *args)
-        self._futures.append(future)
-        return future
-
-    def submit_all(self, fn: Callable, tasks: Sequence[Any]) -> List[Any]:
-        executor = self._require_executor()
-        futures = [executor.submit(fn, task) for task in tasks]
-        self._futures.extend(futures)
-        return futures
-
-    def imap(self, fn: Callable, tasks: Sequence[Any]) -> Iterator[Any]:
-        for future in self.submit_all(fn, tasks):
-            yield future.result()
-
-    def map(self, fn: Callable, tasks: Sequence[Any]) -> List[Any]:
-        return list(self.imap(fn, tasks))
 
 
-def _make_pool(executor: str, jobs: int):
-    if executor == "thread":
-        return ThreadPool(jobs)
-    return ProcessPool(jobs)
+class ProcessPool(_DrainingPool):
+    """Spawn-context process-pool twin of :class:`ThreadPool`.
 
-
-class _TaskResult:
-    """Envelope a pooled task sends back: payload + measurements.
-
-    ``value`` is the task's result, possibly shm-encoded
-    (:func:`repro.parallel_shm.encode_result`); ``report`` the worker's
-    trace session report when the parent had tracing on; ``duration_s``
-    the task's wall time on the worker's clock, which the parent records
-    in the ``parallel.chunk.wall_s`` histogram when tracing.
+    Task functions must be module-level (picklable by reference) and
+    payloads must pickle.  The ``spawn`` start method is used everywhere
+    — ``fork`` is unsafe once numpy's threadpools exist.  On a hard
+    abort (``KeyboardInterrupt``/``SystemExit``) still-running workers
+    are terminated rather than waited for.
     """
 
-    __slots__ = ("value", "report", "duration_s")
-
-    def __init__(
-        self, value: Any, report: Optional[dict], duration_s: float
-    ) -> None:
-        self.value = value
-        self.report = report
-        self.duration_s = duration_s
-
-
-def _pooled_task(
-    fn: Callable,
-    token: Optional[str],
-    threshold: int,
-    traced: bool,
-    task: Any,
-) -> "_TaskResult":
-    """Run one pooled task (worker side of the process pool).
-
-    Wrapped around the task function with ``functools.partial`` so it
-    stays picklable by reference.  Three concerns compose here:
-
-    - the task runs inside its own trace session when the parent has
-      tracing enabled, and ships spans + metrics back in the envelope;
-    - its wall time is measured unconditionally;
-    - with a run ``token``, large result arrays are moved into shared
-      memory (:func:`repro.parallel_shm.encode_result`) and the token is
-      installed as the worker's active token while the task runs, so
-      any segments the task itself publishes are swept by the parent's
-      teardown if this worker dies before delivering them.
-    """
-    previous = parallel_shm.set_current_token(token)
-    try:
-        if traced:
-            from .obs import trace_session
-
-            with trace_session() as session:
-                chunk = obs_trace.timed_span(
-                    "parallel.chunk", fn=getattr(fn, "__name__", str(fn))
-                )
-                try:
-                    value = fn(task)
-                finally:
-                    chunk.finish()
-            report = session.report()
-            duration = chunk.duration_s
-        else:
-            chunk = obs_trace.timed_span("parallel.chunk")
-            try:
-                value = fn(task)
-            finally:
-                chunk.finish()
-            report = None
-            duration = chunk.duration_s
-        if token is not None:
-            value = parallel_shm.encode_result(value, token, threshold)
-        return _TaskResult(value, report, duration)
-    finally:
-        parallel_shm.set_current_token(previous)
-
-
-def _threaded_task(fn: Callable, traced: bool, task: Any) -> "_TaskResult":
-    """Thread-pool twin of :func:`_pooled_task`: no token, no encoding.
-
-    Trace sessions are thread-local, so the worker thread records into
-    its own session and the envelope carries the report back to the
-    parent thread exactly like the process path — span ids share the
-    parent's pid but draw from one process-wide atomic counter, so they
-    never collide.
-    """
-    if traced:
-        from .obs import trace_session
-
-        with trace_session() as session:
-            chunk = obs_trace.timed_span(
-                "parallel.chunk", fn=getattr(fn, "__name__", str(fn))
-            )
-            try:
-                value = fn(task)
-            finally:
-                chunk.finish()
-        return _TaskResult(value, session.report(), chunk.duration_s)
-    chunk = obs_trace.timed_span("parallel.chunk")
-    try:
-        value = fn(task)
-    finally:
-        chunk.finish()
-    return _TaskResult(value, None, chunk.duration_s)
-
-
-def _consume(
-    raw: Any, traced: bool, stats: Optional[RunStats]
-) -> Any:
-    """Unwrap a task envelope on the parent side.
-
-    Adopts the worker's trace spans and metrics (when traced), folds the
-    chunk duration and shm traffic into ``stats``, and decodes any
-    shared-memory handles into zero-copy arrays.
-    """
-    if not isinstance(raw, _TaskResult):
-        return raw
-    if traced and raw.report is not None and obs_trace.enabled():
-        obs_trace.current_recorder().adopt(
-            raw.report.get("spans", ()), obs_trace.current_span_id()
+    def _new_executor(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.n_jobs, mp_context=get_context("spawn")
         )
-        obs_metrics.merge_snapshot(raw.report.get("metrics"))
+
+    def _abort(self, executor: ProcessPoolExecutor) -> None:
+        for process in getattr(executor, "_processes", {}).values():
+            process.terminate()
+
+
+def _traced_task(fn: Callable, task: Any) -> Tuple[Any, dict, float]:
+    """Run one pooled task inside its own trace session on a worker thread.
+
+    Trace sessions are thread-local, so the worker records into its own
+    session and hands back ``(value, report, wall seconds)`` for the
+    caller's thread to adopt — span ids draw from one process-wide
+    atomic counter, so they never collide with the caller's.
+    """
+    from .obs import trace_session
+
+    with trace_session() as session:
+        chunk = obs_trace.timed_span(
+            "parallel.chunk", fn=getattr(fn, "__name__", str(fn))
+        )
+        try:
+            value = fn(task)
+        finally:
+            chunk.finish()
+    return value, session.report(), chunk.duration_s
+
+
+def _adopt(traced: Tuple[Any, dict, float]) -> Any:
+    """Merge a traced task's spans, metrics and wall time into the caller's
+    session (spans go under the caller's current span); return its value."""
+    value, report, duration_s = traced
     if obs_trace.enabled():
-        obs_metrics.observe(PARALLEL_CHUNK_WALL_S, raw.duration_s)
-    value = raw.value
-    if isinstance(value, parallel_shm._Encoded):
-        transfer = parallel_shm.TransferStats()
-        value = parallel_shm.decode_result(value, transfer)
-        if obs_trace.enabled():
-            obs_metrics.counter_add(PARALLEL_SHM_BYTES, transfer.shm_bytes)
-            obs_metrics.counter_add(
-                PARALLEL_SHM_SEGMENTS, transfer.segments
-            )
-        if stats is not None:
-            stats.shm_bytes += transfer.shm_bytes
-            stats.shm_segments += transfer.segments
+        obs_trace.current_recorder().adopt(
+            report.get("spans", ()), obs_trace.current_span_id()
+        )
+        obs_metrics.merge_snapshot(report.get("metrics"))
+        obs_metrics.observe(PARALLEL_CHUNK_WALL_S, duration_s)
     return value
 
 
 def _run_inline(fn: Callable, task: Any) -> Any:
-    """Serial-path twin of the pooled wrappers: same span, no pool."""
+    """Inline twin of :func:`_traced_task`: same span, no pool."""
     chunk = obs_trace.timed_span(
         "parallel.chunk", fn=getattr(fn, "__name__", str(fn)), inline=True
     )
@@ -526,85 +356,29 @@ def _run_inline(fn: Callable, task: Any) -> Any:
     return value
 
 
-def _use_shm(executor: str, shm: Optional[bool]) -> bool:
-    """Shm transfer policy for one pooled call.
-
-    Threads share an address space — results are handed over as live
-    objects — so the plane only ever engages on the process executor.
-    ``shm=None`` defers to the environment policy
-    (:func:`repro.parallel_shm.enabled`).
-    """
-    if executor != "process":
-        return False
-    if shm is None:
-        return parallel_shm.enabled()
-    return bool(shm) and parallel_shm.available()
-
-
 def parallel_map(
     fn: Callable,
     tasks: Sequence[Any],
     n_jobs: Optional[int] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
-    executor: Optional[str] = None,
-    shm: Optional[bool] = None,
     stats: Optional[RunStats] = None,
 ) -> List[Any]:
-    """Ordered ``[fn(t) for t in tasks]``, on a pool when ``n_jobs > 1``.
+    """Ordered ``[fn(t) for t in tasks]``, on a thread pool when ``n_jobs > 1``.
 
-    With one job (or at most one task) everything runs inline in this
-    process — no pool, no pickling — which is also the reference
-    execution the parallel paths must match bitwise.  ``executor``
-    selects worker processes (default) or threads; ``shm`` overrides
-    the shared-memory transfer policy for this call (process executor
-    only); ``stats`` records the executor and shm traffic of the call.
+    With one job (or at most one task) everything runs inline on the
+    calling thread — no pool — which is also the reference execution the
+    pooled path must match bitwise.  ``stats`` records how the call ran.
 
-    ``on_result(index, result)`` fires in task order as each result is
-    consumed (pooled or inline); chunked loops use it to stream progress
-    events from the parent process, where the user's callback lives.
+    ``on_result(index, result)`` fires in task order on the calling
+    thread as each result is consumed (pooled or inline); chunked loops
+    use it to stream progress events to the user's callback.
     """
-    jobs = resolve_jobs(n_jobs)
-    kind = resolve_executor(executor)
     results: List[Any] = []
-    if jobs <= 1 or len(tasks) <= 1:
-        if stats is not None:
-            stats.executor, stats.jobs = "inline", 1
-        for index, task in enumerate(tasks):
-            value = _run_inline(fn, task)
+    with task_stream(fn, tasks, n_jobs=n_jobs, stats=stats) as stream:
+        for index, value in enumerate(stream):
             if on_result is not None:
                 on_result(index, value)
             results.append(value)
-        return results
-    traced = obs_trace.enabled()
-    if stats is not None:
-        stats.executor, stats.jobs = kind, jobs
-    if kind == "thread":
-        wrapped = partial(_threaded_task, fn, traced)
-        with ThreadPool(jobs) as pool:
-            for index, raw in enumerate(pool.imap(wrapped, tasks)):
-                value = _consume(raw, traced, stats)
-                if on_result is not None:
-                    on_result(index, value)
-                results.append(value)
-        return results
-    token = parallel_shm.new_token() if _use_shm(kind, shm) else None
-    wrapped = partial(_pooled_task, fn, token, parallel_shm.min_bytes(), traced)
-    if token is not None:
-        parallel_shm.track_token(token)
-    try:
-        with ProcessPool(jobs) as pool:
-            for index, raw in enumerate(pool.imap(wrapped, tasks)):
-                value = _consume(raw, traced, stats)
-                if on_result is not None:
-                    on_result(index, value)
-                results.append(value)
-    finally:
-        if token is not None:
-            # Sweep leftovers on every exit: a worker killed mid-chunk
-            # created segments whose handles never arrived; a
-            # KeyboardInterrupt abandoned undelivered results.  Either
-            # way the names carry this run's token and die here.
-            parallel_shm.release_token(token)
     return results
 
 
@@ -613,8 +387,6 @@ def task_stream(
     fn: Callable,
     tasks: Sequence[Any],
     n_jobs: Optional[int] = None,
-    executor: Optional[str] = None,
-    shm: Optional[bool] = None,
     stats: Optional[RunStats] = None,
 ):
     """Ordered lazy result stream with clean early exit.
@@ -628,37 +400,22 @@ def task_stream(
 
     Serial (``n_jobs=1``) streams evaluate tasks lazily, so breaking out
     skips the remaining work exactly like the pooled version cancels it.
-    Like :func:`parallel_map`, pooled tasks carry their trace spans,
-    chunk timings, and shared-memory payloads back to the parent.
+    Pooled tasks carry their trace spans and chunk timings back to the
+    caller.
     """
     jobs = resolve_jobs(n_jobs)
-    kind = resolve_executor(executor)
     if jobs <= 1 or len(tasks) <= 1:
         if stats is not None:
             stats.executor, stats.jobs = "inline", 1
         yield (_run_inline(fn, task) for task in tasks)
         return
-    traced = obs_trace.enabled()
     if stats is not None:
-        stats.executor, stats.jobs = kind, jobs
-    if kind == "thread":
-        wrapped = partial(_threaded_task, fn, traced)
-        with ThreadPool(jobs) as pool:
+        stats.executor, stats.jobs = "thread", jobs
+    with ThreadPool(jobs) as pool:
+        if obs_trace.enabled():
             yield (
-                _consume(raw, traced, stats)
-                for raw in pool.imap(wrapped, tasks)
+                _adopt(traced)
+                for traced in pool.imap(partial(_traced_task, fn), tasks)
             )
-        return
-    token = parallel_shm.new_token() if _use_shm(kind, shm) else None
-    wrapped = partial(_pooled_task, fn, token, parallel_shm.min_bytes(), traced)
-    if token is not None:
-        parallel_shm.track_token(token)
-    try:
-        with ProcessPool(jobs) as pool:
-            yield (
-                _consume(raw, traced, stats)
-                for raw in pool.imap(wrapped, tasks)
-            )
-    finally:
-        if token is not None:
-            parallel_shm.release_token(token)
+        else:
+            yield pool.imap(fn, tasks)

@@ -56,8 +56,8 @@ class ResourceExhausted(RuntimeError):
 
     def __reduce__(self):
         # Keyword-only context would be dropped by the default exception
-        # reduction; preserve it so budget trips inside worker processes
-        # reach the parent's fallback chain intact.
+        # reduction; preserve it so a budget trip that crosses a process
+        # boundary (a ProcessPool task) keeps its context.
         return (
             _rebuild_resource_exhausted,
             (type(self), str(self), self.backend, self.limit, self.observed),
@@ -242,17 +242,12 @@ class ResourceBudget:
         )
 
     def share(
-        self, num_workers: int, *, elapsed: float = 0.0, reserved: int = 0
+        self, num_workers: int, *, elapsed: float = 0.0
     ) -> "ResourceBudget":
-        """The per-worker slice of this budget for ``num_workers`` processes.
+        """The per-worker slice of this budget for ``num_workers`` workers.
 
         Memory is divided across workers because they allocate
         concurrently, so the aggregate stays within the original cap.
-        ``reserved`` bytes are subtracted from the parent's cap *before*
-        the division — this is how shared-memory result segments are
-        accounted: the segment pages are one allocation charged to the
-        run as a whole (the parent attaches them), not one per worker,
-        so dividing them ``num_workers`` ways would double-count.
         The wall-clock budget propagates as the *remaining* time (after
         ``elapsed`` seconds already spent) without division — workers
         run side by side on the same clock.  DD-node and bond caps are
@@ -261,7 +256,7 @@ class ResourceBudget:
         num_workers = max(1, int(num_workers))
         memory = self.max_memory_bytes
         if memory is not None:
-            memory = max((memory - max(int(reserved), 0)) // num_workers, 1)
+            memory = max(memory // num_workers, 1)
         seconds = self.max_seconds
         if seconds is not None:
             seconds = max(seconds - elapsed, 1e-3)

@@ -12,8 +12,7 @@ The front door of :mod:`repro.service`::
         outcome = await service.result(handle)
 
 Everything composes from primitives that already exist: jobs run on the
-library's own :class:`~repro.parallel.ThreadPool` /
-:class:`~repro.parallel.ProcessPool`; progress streaming and
+library's own :class:`~repro.parallel.ThreadPool`; progress streaming and
 cancellation reuse the ``progress=`` callback plumbing
 (:mod:`repro.obs.progress`) — the engine installs a hook that fans
 events out to async subscribers and raises
@@ -24,14 +23,11 @@ checkpoint once a job is cancelled; per-tenant fairness comes from
 intersected into each of its jobs); result dedupe comes from the
 content-addressed cache (:mod:`repro.service.cache`).
 
-Executor trade-off: ``executor="thread"`` (default) keeps jobs in this
-process — live progress events, prompt cooperative cancellation, zero
-serialization.  ``executor="process"`` ships each job through its
-durable JSON form (:meth:`~repro.service.jobs.JobSpec.to_json`) to a
-spawned worker — true parallelism for GIL-bound backends and a proof
-the job format is shard-ready, at the cost of intra-job streaming
-(events arrive only at completion) and of cancellation only reaching
-jobs that have not started.
+Jobs run on threads of this process: live progress events, prompt
+cooperative cancellation, and no serialization.  The durable JSON form
+(:meth:`~repro.service.jobs.JobSpec.to_json`) is what crosses process
+boundaries — every request a shard (:mod:`repro.service.remote`)
+serves is rebuilt from it.
 
 Cancellation always yields a :class:`JobResult` whose ``partial``
 field carries the last observed progress (kind, done, total) — the
@@ -50,7 +46,7 @@ from typing import Any, AsyncIterator, Dict, List, Optional
 from ..circuits.circuit import QuantumCircuit
 from ..obs import metrics as obs_metrics
 from ..obs.progress import CancelledError, ProgressEvent
-from ..parallel import ProcessPool, ThreadPool
+from ..parallel import ThreadPool
 from . import cache as service_cache
 from .jobs import JobBatch, JobSpec, validate_task_args
 from .queue import PriorityJobQueue, TenantQuota, split_warm
@@ -74,8 +70,7 @@ def execute_job(job: JobSpec, progress: Optional[Any] = None) -> Any:
 
     Returns the facade's richest shape: a
     :class:`~repro.core.backend.SimulationResult` for ``simulate``, a
-    ``(value, metadata)`` pair for the other tasks.  Module-level so the
-    process executor can import it by reference.
+    ``(value, metadata)`` pair for the other tasks.
     """
     from ..core import backend as core_backend
 
@@ -126,9 +121,9 @@ def result_metadata(value: Any) -> Dict[str, Any]:
 def _cache_lookup(job: JobSpec) -> Optional[Any]:
     """Service-level warm-cache check for one job.
 
-    The engine always installs an internal progress hook (thread mode),
-    which makes the dispatcher skip its own lookup — so the engine
-    checks first, with the exact key the dispatcher would store under.
+    The engine always installs an internal progress hook, which makes
+    the dispatcher skip its own lookup — so the engine checks first,
+    with the exact key the dispatcher would store under.
     """
     if job.options.trace:
         return None
@@ -166,24 +161,12 @@ def _cache_extra(job: JobSpec) -> Optional[Dict[str, Any]]:
     return None
 
 
-def _run_job_thread(job: JobSpec, emit: Any) -> Any:
-    """Thread-pool body: warm-cache check, then a hooked facade run."""
+def _run_job(job: JobSpec, emit: Any) -> Any:
+    """Worker body: warm-cache check, then a hooked facade run."""
     hit = _cache_lookup(job)
     if hit is not None:
         return hit
     return execute_job(job, progress=emit)
-
-
-def _run_job_process(job_json: str) -> Any:
-    """Process-pool body: rebuild the job from its durable JSON form.
-
-    No progress hook crosses the pickle boundary, so the dispatcher's
-    own cache lookup applies inside the worker (``REPRO_CACHE`` is
-    inherited through the spawn environment).
-    """
-    from .jobs import JobSpec as _JobSpec
-
-    return execute_job(_JobSpec.from_json(job_json))
 
 
 @dataclass
@@ -215,7 +198,6 @@ class JobHandle:
         self.cancel_event = threading.Event()
         self.last_event: Optional[ProgressEvent] = None
         self.subscribers: List["asyncio.Queue"] = []
-        self._raw_future: Optional[Any] = None
 
     @property
     def job_id(self) -> str:
@@ -233,27 +215,20 @@ class JobHandle:
 
 
 class SimulationService:
-    """Async facade running jobs on pooled executors with quotas + cache.
+    """Async facade running jobs on a thread pool with quotas + cache.
 
     Use as an async context manager (or call :meth:`start`/:meth:`stop`).
-    ``max_workers`` bounds concurrently running jobs; ``executor``
-    selects the thread or process pool; ``quotas`` maps tenant names to
-    :class:`~repro.service.queue.TenantQuota`.
+    ``max_workers`` bounds concurrently running jobs; ``quotas`` maps
+    tenant names to :class:`~repro.service.queue.TenantQuota`.
     """
 
     def __init__(
         self,
         max_workers: int = 2,
-        executor: str = "thread",
         quotas: Optional[Dict[str, TenantQuota]] = None,
         probe_cache: bool = True,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; choose 'thread' or 'process'"
-            )
         self.max_workers = max(1, int(max_workers))
-        self.executor = executor
         self.probe_cache = bool(probe_cache)
         self._queue = PriorityJobQueue(quotas)
         self._handles: Dict[str, JobHandle] = {}
@@ -267,8 +242,7 @@ class SimulationService:
         if self._pool is not None:
             return self
         self._loop = asyncio.get_running_loop()
-        pool_cls = ThreadPool if self.executor == "thread" else ProcessPool
-        self._pool = pool_cls(self.max_workers)
+        self._pool = ThreadPool(self.max_workers)
         self._pool.__enter__()
         return self
 
@@ -423,20 +397,14 @@ class SimulationService:
     def _dispatch(self, handle: JobHandle) -> None:
         handle.status = RUNNING
         self._running += 1
-        if self.executor == "thread":
-            raw_future = self._pool.submit(
-                _run_job_thread, handle.job, self._make_hook(handle)
-            )
-        else:
-            raw_future = self._pool.submit(
-                _run_job_process, handle.job.to_json()
-            )
-        handle._raw_future = raw_future
+        raw_future = self._pool.submit(
+            _run_job, handle.job, self._make_hook(handle)
+        )
         wrapped = asyncio.wrap_future(raw_future, loop=self._loop)
         wrapped.add_done_callback(partial(self._on_done, handle))
 
     def _make_hook(self, handle: JobHandle) -> Any:
-        """The progress callback a thread-mode job runs under.
+        """The progress callback a job runs under.
 
         Called from the worker thread at every gate-loop/trajectory
         checkpoint: records the latest event, invokes the job's own
@@ -514,9 +482,8 @@ class SimulationService:
     async def cancel(self, handle: JobHandle) -> bool:
         """Request cancellation; ``True`` if the job will not complete.
 
-        Queued jobs are withdrawn immediately.  Running thread-mode jobs
-        stop cooperatively at their next progress checkpoint; running
-        process-mode jobs cannot be interrupted (returns ``False``).
+        Queued jobs are withdrawn immediately.  Running jobs stop
+        cooperatively at their next progress checkpoint.
         """
         handle.cancel_event.set()
         if handle.status == QUEUED and self._queue.remove(handle):
@@ -534,9 +501,6 @@ class SimulationService:
             self._pump()
             return True
         if handle.status == RUNNING:
-            if self.executor == "process":
-                raw = handle._raw_future
-                return bool(raw.cancel()) if raw is not None else False
             return True
         return handle.status == CANCELLED
 

@@ -61,7 +61,7 @@ from ..engine import (
     execute_job,
     result_metadata,
 )
-from ..jobs import JobBatch, JobSpec, canonical_json
+from ..jobs import JobBatch, JobSpec
 from . import wire
 from .shard import decode_job_result
 
@@ -79,9 +79,11 @@ DEFAULT_VNODES = 64
 def routing_key(job: JobSpec) -> str:
     """The consistent-hash key for a job: its cache content key.
 
-    Falls back to a hash of the job's canonical JSON form for jobs the
-    cache cannot key (e.g. traced runs) — those still route
-    deterministically, they just cannot be cache-warm.
+    Every job that can cross the wire has one — traced and
+    progress-streaming runs included, because the key leaves out the
+    result-invariant options.  A job with an explicit contraction
+    ``plan`` has neither a key nor a wire form, so it raises
+    ``TypeError``.
     """
     key = service_cache.request_key(
         job.circuit,
@@ -90,13 +92,12 @@ def routing_key(job: JobSpec) -> str:
         job.options,
         _cache_extra(job),
     )
-    if key is not None:
-        return key
-    payload = dict(job.to_dict())
-    payload.pop("job_id", None)
-    payload.pop("submitted_at", None)
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
-    return "route:" + digest.hexdigest()
+    if key is None:
+        raise TypeError(
+            "a job with an explicit contraction plan= has no routing key; "
+            "drop plan= to submit it to a cluster"
+        )
+    return key
 
 
 def parse_address(address: str) -> Tuple[str, Any]:
@@ -577,7 +578,6 @@ class ShardProcess:
         host: str = "127.0.0.1",
         port: int = 0,
         max_workers: int = 2,
-        executor: str = "thread",
         env: Optional[Dict[str, str]] = None,
         ready_timeout_s: float = 30.0,
     ) -> None:
@@ -585,7 +585,6 @@ class ShardProcess:
         self.host = host
         self.port = int(port)
         self.max_workers = int(max_workers)
-        self.executor = executor
         self.extra_env = dict(env or {})
         self.ready_timeout_s = float(ready_timeout_s)
         self.proc: Optional[subprocess.Popen] = None
@@ -600,8 +599,6 @@ class ShardProcess:
             "repro.service.remote.shard",
             "--workers",
             str(self.max_workers),
-            "--executor",
-            self.executor,
         ]
         if self.unix_path is not None:
             argv += ["--unix", self.unix_path]
@@ -693,7 +690,6 @@ class LocalCluster:
         n_shards: Optional[int] = None,
         *,
         max_workers: int = 2,
-        executor: str = "thread",
         cache: bool = True,
         shared_cache: bool = False,
         shard_env: Optional[Dict[str, str]] = None,
@@ -704,7 +700,6 @@ class LocalCluster:
             int(n_shards) if n_shards is not None else (shard_count() or 2)
         )
         self.max_workers = int(max_workers)
-        self.executor = executor
         self.cache = bool(cache)
         self.shared_cache = bool(shared_cache)
         self.shard_env = dict(shard_env or {})
@@ -731,7 +726,6 @@ class LocalCluster:
             proc = ShardProcess(
                 unix_path=os.path.join(root, f"shard-{i}.sock"),
                 max_workers=self.max_workers,
-                executor=self.executor,
                 env=env,
             )
             proc.start()

@@ -88,7 +88,6 @@ class ShardServer:
         *,
         unix_path: Optional[str] = None,
         max_workers: int = 2,
-        executor: str = "thread",
         quotas: Optional[Dict[str, TenantQuota]] = None,
         faults: Optional[faults_mod.FaultPlan] = None,
     ) -> None:
@@ -96,7 +95,6 @@ class ShardServer:
         self.port = int(port)
         self.unix_path = unix_path
         self.max_workers = int(max_workers)
-        self.executor = executor
         self.quotas = quotas
         self._faults = faults
         self._service: Optional[SimulationService] = None
@@ -114,7 +112,6 @@ class ShardServer:
             self._faults = faults_mod.active()
         self._service = SimulationService(
             max_workers=self.max_workers,
-            executor=self.executor,
             quotas=self.quotas,
         )
         await self._service.start()
@@ -185,7 +182,6 @@ class ShardServer:
                 self._service.queue_depth() if self._service else 0
             ),
             "max_workers": self.max_workers,
-            "executor": self.executor,
             "cache_enabled": cache_enabled,
             "cache": cache_stats,
             "uptime_s": (
@@ -389,7 +385,6 @@ async def _run_shard(args: argparse.Namespace) -> None:
         port=args.port,
         unix_path=args.unix,
         max_workers=args.workers,
-        executor=args.executor,
     )
     await server.start()
     print(f"READY {server.address}", flush=True)
@@ -413,9 +408,6 @@ def main(argv: Optional[list] = None) -> None:
         "--unix", default=None, help="serve on this Unix socket path instead"
     )
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--executor", default="thread", choices=("thread", "process")
-    )
     args = parser.parse_args(argv)
     try:
         asyncio.run(_run_shard(args))

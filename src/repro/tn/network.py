@@ -156,7 +156,6 @@ class TensorNetwork:
         plan: Optional[Plan] = None,
         budget: Optional[ResourceBudget] = None,
         n_jobs: Optional[int] = None,
-        executor: Optional[str] = None,
     ) -> Tensor:
         """Contract by summing over the values of one or more sliced bonds.
 
@@ -172,16 +171,16 @@ class TensorNetwork:
         computed here) is reused for every slice: SSA plans address
         tensor *positions*, which slicing preserves.
 
-        Slices default to the **thread** executor — each slice is one
-        chain of BLAS contractions that releases the GIL, and tensors
-        never cross a serialization boundary (the zero-copy limit).
-        ``n_jobs=None`` defers to ``REPRO_JOBS`` (serial when unset);
-        slice order, and therefore floating-point summation order, is
-        fixed, so results are bitwise identical at any ``n_jobs``.  The
-        final summation is itself parallel for large results: elements
-        (not slices) are partitioned across the thread pool, which
-        preserves every element's serial accumulation order exactly
-        (see :func:`_sum_partials`).
+        Slices run on the thread pool — each slice is one chain of BLAS
+        contractions that releases the GIL, and tensors never cross a
+        serialization boundary.  ``n_jobs=None`` defers to
+        ``REPRO_JOBS`` (serial when unset); slice order, and therefore
+        floating-point summation order, is fixed, so results are bitwise
+        identical at any ``n_jobs``.  The final summation is itself
+        parallel for large results: elements (not slices) are
+        partitioned across the thread pool, which preserves every
+        element's serial accumulation order exactly (see
+        :func:`_sum_partials`).
         """
         candidates = self.sliceable_indices()
         if index is None:
@@ -227,10 +226,7 @@ class TensorNetwork:
             "tn.contract_sliced", index=",".join(indices), slices=num_slices
         ):
             partials = parallel_map(
-                _contract_slice_worker,
-                specs,
-                n_jobs=jobs,
-                executor=executor or "thread",
+                _contract_slice_worker, specs, n_jobs=jobs
             )
         first = partials[0]
         aligned = [first.data] + [
@@ -358,7 +354,7 @@ class TensorNetwork:
 def _contract_slice_worker(
     spec: Tuple[List[Tensor], Plan, Optional[ResourceBudget]],
 ) -> Tensor:
-    """Module-level (picklable) slice task: contract one sliced network."""
+    """Slice task: contract one sliced network."""
     tensors, plan, budget = spec
     return TensorNetwork(tensors).contract_pairwise(plan, budget=budget)
 
@@ -388,11 +384,11 @@ def _sum_partials(arrays: List[np.ndarray], n_jobs: int) -> np.ndarray:
 
     The PR-9 follow-up: ``contract_sliced`` parallelized the slice
     *contractions* but summed serially.  Here the summation itself runs
-    on the thread pool — threads, not processes, because the partials
-    already live in this address space and numpy's elementwise add
-    releases the GIL — by splitting the flattened element range into
-    per-worker chunks.  Small results (:data:`PARALLEL_SUM_MIN_ELEMS`)
-    and serial configurations keep the plain loop.
+    on the thread pool — the partials already live in this address
+    space and numpy's elementwise add releases the GIL — by splitting
+    the flattened element range into per-worker chunks.  Small results
+    (:data:`PARALLEL_SUM_MIN_ELEMS`) and serial configurations keep the
+    plain loop.
     """
     if (
         n_jobs <= 1
@@ -416,7 +412,5 @@ def _sum_partials(arrays: List[np.ndarray], n_jobs: int) -> np.ndarray:
         start = stop
     tasks = [(out, flats, lo, hi) for lo, hi in bounds]
     with obs_trace.span("tn.sum_sliced", slices=len(arrays), jobs=len(tasks)):
-        parallel_map(
-            _sum_chunk_worker, tasks, n_jobs=n_jobs, executor="thread"
-        )
+        parallel_map(_sum_chunk_worker, tasks, n_jobs=n_jobs)
     return out.reshape(arrays[0].shape)

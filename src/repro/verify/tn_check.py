@@ -11,17 +11,14 @@ Two complementary checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .. import parallel_shm
 from ..circuits.circuit import QuantumCircuit
 from ..obs import trace as obs_trace
 from ..obs.progress import ProgressReporter
 from ..parallel import resolve_jobs, task_stream
-from ..parallel_shm import ShmArray
 from ..resources import ResourceBudget
 from ..tn.circuit_tn import amplitude
 from ..tn.network import TensorNetwork
@@ -133,43 +130,22 @@ def check_equivalence_tn(
     return abs(abs(overlap) - 1.0) <= tol
 
 
-@dataclass(frozen=True)
-class _StimulusSlice:
-    """One stimulus's row of a shared pre-generated stimulus table.
-
-    Input fan-out: the parent publishes the whole ``(num_stimuli,
-    amplitudes, 2)`` table as a *single* shared-memory segment and every
-    task pickles only this tiny handle-plus-row marker.  Workers attach
-    with ``unlink=False`` — many readers of one segment — so the
-    publisher keeps ownership and sweeps the name when the pool drains.
-    """
-
-    handle: ShmArray
-    row: int
-
-    def resolve(self) -> List[Tuple[int, int]]:
-        table = self.handle.attach(unlink=False)
-        return [(int(i), int(o)) for i, o in table[self.row]]
-
-
 def _stimulus_worker(
     spec: Tuple[
         QuantumCircuit,
         QuantumCircuit,
-        Union[List[Tuple[int, int]], _StimulusSlice],
+        List[Tuple[int, int]],
         Optional[ResourceBudget],
     ],
 ) -> List[Tuple[complex, complex]]:
-    """Module-level (picklable) stimulus task: amplitude pairs only.
+    """Stimulus task: amplitude pairs only.
 
     Workers perform the expensive tensor-network contractions; *all*
     verdict logic — tolerance comparisons and the global-phase estimate,
-    which depends on the order pairs are seen in — stays in the parent so
-    the verdict is identical at any ``n_jobs``.
+    which depends on the order pairs are seen in — stays with the caller
+    so the verdict is identical at any ``n_jobs``.
     """
     circuit_a, circuit_b, pairs, budget = spec
-    if isinstance(pairs, _StimulusSlice):
-        pairs = pairs.resolve()
     results: List[Tuple[complex, complex]] = []
     with obs_trace.span("verify.stimulus", pairs=len(pairs)):
         for basis_in, basis_out in pairs:
@@ -193,8 +169,6 @@ def check_equivalence_random_stimuli(
     budget: Optional[ResourceBudget] = None,
     n_jobs: Optional[int] = None,
     progress: Optional[callable] = None,
-    executor: Optional[str] = None,
-    shm: Optional[bool] = None,
 ) -> bool:
     """Probabilistic check: compare single amplitudes on random basis inputs.
 
@@ -204,17 +178,12 @@ def check_equivalence_random_stimuli(
 
     With ``n_jobs`` (or ``REPRO_JOBS`` in the environment) the stimuli are
     pre-generated — same RNG draw order as the serial loop — and their
-    contractions run on a pool, one stimulus per task (``executor``
-    selects worker processes or in-process threads; ``shm`` overrides
-    the shared-memory transfer policy).  Where the shm policy allows,
-    the pre-generated stimulus table is *fanned out* through a single
-    shared segment that every worker attaches read-only
-    (``attach(unlink=False)``) instead of pickling a pair list per
-    task.  The parent consumes results in stimulus order
-    and applies the serial verdict logic verbatim, so the verdict is
-    deterministic and identical to a serial run; the first
-    counterexample stops consumption and the pool cancels the remaining
-    stimuli.  Workers inherit ``budget.share(n_jobs)``.
+    contractions run on a thread pool, one stimulus per task.  The
+    caller consumes results in stimulus order and applies the serial
+    verdict logic verbatim, so the verdict is deterministic and
+    identical to a serial run; the first counterexample stops
+    consumption and the pool cancels the remaining stimuli.  Workers
+    inherit ``budget.share(n_jobs)``.
     """
     if circuit_a.num_qubits != circuit_b.num_qubits:
         return False
@@ -238,55 +207,26 @@ def check_equivalence_random_stimuli(
     worker_budget = (
         budget.share(jobs) if budget is not None and jobs > 1 else budget
     )
-    # Input fan-out: publish the pre-generated stimulus table once and
-    # hand every worker the same segment (attach(unlink=False)) instead
-    # of pickling a pair list per task.  Bitwise identical to the pickle
-    # path — shm changes how the stimuli travel, never their values.
-    fanout_token: Optional[str] = None
-    if (
-        jobs > 1
-        and shm is not False
-        and n < 63  # basis states must fit the int64 table
-        and parallel_shm.available()
-        and (shm is True or parallel_shm.enabled())
-    ):
-        table = np.asarray(stimuli, dtype=np.int64)
-        fanout_token = parallel_shm.new_token()
-        parallel_shm.track_token(fanout_token)
-        handle = ShmArray.create_from(table, fanout_token)
-        specs = [
-            (a_clean, b_clean, _StimulusSlice(handle, row), worker_budget)
-            for row in range(num_stimuli)
-        ]
-    else:
-        specs = [
-            (a_clean, b_clean, pairs, worker_budget) for pairs in stimuli
-        ]
+    specs = [(a_clean, b_clean, pairs, worker_budget) for pairs in stimuli]
     phase: Optional[complex] = None
     reporter = ProgressReporter.maybe(
         progress, "stimuli", total=num_stimuli, backend="tn"
     )
-    try:
-        with task_stream(
-            _stimulus_worker, specs, n_jobs=jobs, executor=executor, shm=shm
-        ) as results:
-            for pair_results in results:
-                for amp_a, amp_b in pair_results:
-                    if abs(amp_a) <= tol and abs(amp_b) <= tol:
-                        continue
-                    if abs(amp_a) <= tol or abs(amp_b) <= tol:
+    with task_stream(_stimulus_worker, specs, n_jobs=jobs) as results:
+        for pair_results in results:
+            for amp_a, amp_b in pair_results:
+                if abs(amp_a) <= tol and abs(amp_b) <= tol:
+                    continue
+                if abs(amp_a) <= tol or abs(amp_b) <= tol:
+                    return False
+                if phase is None:
+                    phase = amp_a / amp_b
+                    if abs(abs(phase) - 1.0) > 1e-6:
                         return False
-                    if phase is None:
-                        phase = amp_a / amp_b
-                        if abs(abs(phase) - 1.0) > 1e-6:
-                            return False
-                    if abs(amp_a - phase * amp_b) > 1e-6:
-                        return False
-                if reporter is not None:
-                    reporter.step()
-    finally:
-        if fanout_token is not None:
-            parallel_shm.release_token(fanout_token)
+                if abs(amp_a - phase * amp_b) > 1e-6:
+                    return False
+            if reporter is not None:
+                reporter.step()
     if reporter is not None:
         reporter.close()
     return True

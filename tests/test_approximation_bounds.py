@@ -224,15 +224,17 @@ def test_tn_sliced_summation_jobs_reported_and_bitwise():
     circuit = library.grover(3, 5)  # known to need slicing at this budget
     n = circuit.num_qubits
     budget = f"memory={(16 << n) * 4}"
+    # cache=False: n_jobs is not part of the cache key, so a cached n_jobs=1
+    # entry would answer the n_jobs=4 call without slicing anything.
     serial = simulate(
         circuit, backend="tn", budget=budget, accuracy=_eager(0.99),
-        n_jobs=1,
+        n_jobs=1, cache=False,
     )
     assert "approximation" in serial.metadata, "budget no longer slices"
     assert serial.metadata["approximation"]["slice_jobs"] == 1
     parallel = simulate(
         circuit, backend="tn", budget=budget, accuracy=_eager(0.99),
-        n_jobs=4,
+        n_jobs=4, cache=False,
     )
     assert parallel.metadata["approximation"]["slice_jobs"] == 4
     assert parallel.state.tobytes() == serial.state.tobytes()

@@ -16,6 +16,7 @@ The acceptance bar for the tracing layer:
 """
 
 import multiprocessing as mp
+import threading
 
 import pytest
 
@@ -262,16 +263,18 @@ class TestWorkerSpanAggregation:
         noise = NoiseModel.uniform_depolarizing(0.01, 0.02)
         simulator = NoisyDDSimulator(noise, seed=5)
         with trace_session(True) as session:
-            simulator.run(circuit, trajectories=16, n_jobs=2)
+            with obs_trace.span("test.run") as run_span:
+                simulator.run(circuit, trajectories=16, n_jobs=2)
             report = session.report()
         chunk_spans = [
             s for s in report["spans"] if s["name"] == "parallel.chunk"
         ]
         assert chunk_spans
-        # Worker spans keep their worker pid, distinct from the parent's.
-        import os
-
-        assert any(s["pid"] != os.getpid() for s in chunk_spans)
+        # Chunks ran on pool threads, not the caller's, and their spans
+        # were adopted under the run's span.
+        caller = threading.get_ident()
+        assert all(s["thread_id"] != caller for s in chunk_spans)
+        assert all(s["parent_id"] == run_span.span_id for s in chunk_spans)
         hist = report["metrics"]["histograms"]["parallel.chunk.wall_s"]
         assert hist["count"] == len(chunk_spans)
 

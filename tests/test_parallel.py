@@ -1,4 +1,4 @@
-"""Tests for the process-pool execution layer and its integrations.
+"""Tests for the thread-pool execution layer and its integrations.
 
 The load-bearing properties:
 
@@ -6,10 +6,10 @@ The load-bearing properties:
   merge order depend only on ``(total, seed)``, so seeded results are
   bitwise identical at any ``n_jobs``;
 - pool hygiene: a crashing task, an abandoned stream, or a
-  ``KeyboardInterrupt`` never leaks worker processes;
-- budget composition: workers get a memory-divided share, structured
-  :class:`ResourceExhausted` context survives pickling back to the
-  parent.
+  ``KeyboardInterrupt`` never leaks a worker thread or a child process;
+- budget composition: workers get a memory-divided share, and a
+  worker's :class:`ResourceExhausted` reaches the caller with its
+  structured context.
 """
 
 import hashlib
@@ -17,6 +17,7 @@ import multiprocessing as mp
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.dd.noise_sim import NoisyDDSimulator
 from repro.parallel import (
     JOBS_ENV_VAR,
     ProcessPool,
+    ThreadPool,
     chunk_sizes,
     parallel_map,
     resolve_jobs,
@@ -41,7 +43,12 @@ from repro.verify.tn_check import check_equivalence_random_stimuli
 
 
 def _no_leaked_children():
-    return [p for p in mp.active_children() if p.is_alive()] == []
+    """No child process and no ``repro-pool`` worker thread is alive."""
+    processes = [p for p in mp.active_children() if p.is_alive()]
+    threads = [
+        t for t in threading.enumerate() if t.name.startswith("repro-pool")
+    ]
+    return processes == [] and threads == []
 
 
 # -- deterministic work splitting ---------------------------------------------
@@ -139,14 +146,22 @@ class TestTrajectoryDeterminism:
     def test_arrays_bitwise_identical_across_jobs(self):
         noise = NoiseModel.uniform_depolarizing(0.02, 0.05)
         circuit = random_circuits.brickwork_circuit(5, 3, seed=8)
-        results = [
-            TrajectorySimulator(noise, seed=11)
-            .run(circuit, trajectories=64, n_jobs=jobs)
-            .probs
-            for jobs in (1, 2, 3)
-        ]
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
+        # Eight threads (more than cores) switching every 10 us: a race
+        # on state the chunks share (kernel caches, metrics) would show
+        # up as different bits.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = [
+                TrajectorySimulator(noise, seed=11)
+                .run(circuit, trajectories=64, n_jobs=jobs)
+                .probs
+                for jobs in (1, 2, 3, 8)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
         assert _no_leaked_children()
 
     def test_arrays_engine_matches_density_matrix_statistically(self):
@@ -162,7 +177,7 @@ class TestTrajectoryDeterminism:
     @pytest.mark.parametrize("engine", ["arrays", "dd"])
     def test_default_call_is_the_chunked_engine(self, engine, monkeypatch):
         """Without n_jobs/REPRO_JOBS, run() is the chunked engine inline:
-        bitwise equal to n_jobs=1 and to n_jobs=2 on both executors."""
+        bitwise equal to n_jobs=1 and to n_jobs=2 on the thread pool."""
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
         noise = NoiseModel.uniform_depolarizing(0.02, 0.04)
         circuit = random_circuits.brickwork_circuit(4, 2, seed=7)
@@ -172,13 +187,11 @@ class TestTrajectoryDeterminism:
         default = simulator(noise, seed=9).run(circuit, trajectories=12)
         assert default.metadata["executor"] == "inline"
         runs = [
-            simulator(noise, seed=9).run(circuit, trajectories=12, **kwargs)
-            for kwargs in (
-                {"n_jobs": 1},
-                {"n_jobs": 2, "executor": "thread"},
-                {"n_jobs": 2, "executor": "process"},
-            )
+            simulator(noise, seed=9).run(circuit, trajectories=12, n_jobs=jobs)
+            for jobs in (1, 2)
         ]
+        assert [run.metadata["executor"] for run in runs] == ["inline", "thread"]
+        assert [run.metadata["n_jobs"] for run in runs] == [1, 2]
         for run in [default] + runs:
             assert run.metadata["chunks"] == min(12, 8)
             assert np.array_equal(run.probs, default.probs)
@@ -235,45 +248,40 @@ class TestTrajectoryDeterminism:
         expected = ["8", hashlib.sha256(local.probs.tobytes()).hexdigest()]
         assert outputs == [expected, expected]
 
-    def test_thread_and_process_executors_agree_bitwise(self):
-        noise = NoiseModel.uniform_depolarizing(0.02, 0.05)
-        circuit = random_circuits.random_circuit(3, 6, seed=5)
-        threaded = TrajectorySimulator(noise, seed=11).run(
-            circuit, trajectories=12, n_jobs=2, executor="thread"
-        )
-        pooled = TrajectorySimulator(noise, seed=11).run(
-            circuit, trajectories=12, n_jobs=2, executor="process"
-        )
-        assert threaded.metadata["executor"] == "thread"
-        assert pooled.metadata["executor"] == "process"
-        assert (
-            threaded.probabilities() == pooled.probabilities()
-        ).all()
-
     def test_dd_bitwise_identical_across_jobs(self):
         noise = NoiseModel.uniform_depolarizing(0.02, 0.04)
         circuit = random_circuits.brickwork_circuit(4, 2, seed=7)
         a = NoisyDDSimulator(noise, seed=3).run(
             circuit, trajectories=24, n_jobs=1
         )
-        b = NoisyDDSimulator(noise, seed=3).run(
-            circuit, trajectories=24, n_jobs=2
-        )
-        assert np.array_equal(a.probs, b.probs)
-        assert a.mean_nodes == b.mean_nodes
-        assert a.peak_nodes == b.peak_nodes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = [
+                NoisyDDSimulator(noise, seed=3).run(
+                    circuit, trajectories=24, n_jobs=jobs
+                )
+                for jobs in (2, 8)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        for b in pooled:
+            assert np.array_equal(a.probs, b.probs)
+            assert a.mean_nodes == b.mean_nodes
+            assert a.peak_nodes == b.peak_nodes
         assert _no_leaked_children()
 
     def test_dd_sampling_identical_across_jobs(self):
         noise = NoiseModel.uniform_depolarizing(0.02, 0.04)
         circuit = random_circuits.brickwork_circuit(4, 2, seed=7)
+        default = NoisyDDSimulator(noise, seed=4).run_sampling(circuit, 24)
         a = NoisyDDSimulator(noise, seed=4).run_sampling(
             circuit, 24, n_jobs=1
         )
         b = NoisyDDSimulator(noise, seed=4).run_sampling(
             circuit, 24, n_jobs=2
         )
-        assert a == b
+        assert default == a == b
         assert sum(a.values()) == 24
 
     def test_env_var_routes_to_engine(self, monkeypatch):
@@ -320,11 +328,14 @@ class TestSweepDeterminism:
         circuits = [
             random_circuits.random_circuit(3, 8, seed=s) for s in range(7)
         ]
-        serial = simulate_many(circuits)
+        default = simulate_many(circuits)
+        serial = simulate_many(circuits, n_jobs=1)
         pooled = simulate_many(circuits, n_jobs=2)
-        for a, b in zip(serial, pooled):
+        for a, b, c in zip(default, serial, pooled):
             assert np.array_equal(a.state, b.state)
-            assert a.metadata["batch"]["index"] == b.metadata["batch"]["index"]
+            assert np.array_equal(a.state, c.state)
+            assert a.metadata["batch"]["index"] == c.metadata["batch"]["index"]
+        assert pooled[0].metadata["batch"]["executor"] == "thread"
         assert _no_leaked_children()
 
 
@@ -361,6 +372,12 @@ class TestPoolHygiene:
     def test_parallel_map_serial_inline(self):
         # jobs<=1 never spawns: the pid is this process for every task.
         assert set(parallel_map(_pid, [0, 1], n_jobs=1)) == {os.getpid()}
+        # Pooled tasks run on threads of this process, and start no child.
+        assert set(parallel_map(_pid, list(range(4)), n_jobs=2)) == {
+            os.getpid()
+        }
+        assert mp.active_children() == []
+        assert _no_leaked_children()
 
     def test_poisoned_task_propagates_without_leaking(self):
         with pytest.raises(RuntimeError, match="poisoned task"):
@@ -383,6 +400,12 @@ class TestPoolHygiene:
         assert _no_leaked_children()
 
     def test_pool_outside_context_raises(self):
-        pool = ProcessPool(2)
-        with pytest.raises(RuntimeError, match="context manager"):
-            pool.map(_square, [1, 2])
+        for pool_cls in (ProcessPool, ThreadPool):
+            pool = pool_cls(2)
+            with pytest.raises(RuntimeError, match="context manager"):
+                pool.map(_square, [1, 2])
+        # No library path uses ProcessPool; it still spawns, maps, and
+        # joins its workers (the repository benchmark times exactly this).
+        with ProcessPool(2) as pool:
+            assert pool.map(abs, [-1]) == [1]
+        assert _no_leaked_children()

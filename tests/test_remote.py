@@ -156,7 +156,10 @@ class TestShardServer:
         assert audit["attempts"][-1]["outcome"] == "ok"
         assert audit["shard"].startswith("unix://")
 
-    def test_event_streaming(self, tmp_path):
+    def test_event_streaming(self, tmp_path, monkeypatch):
+        # Events come from execution; a warm cache hit (REPRO_CACHE=1
+        # profile) would answer without running, so turn caching off.
+        monkeypatch.setenv("REPRO_CACHE", "0")
         job = JobSpec(ghz(3), task="simulate", backend="arrays")
         events = []
 
@@ -292,17 +295,16 @@ class TestRouting:
         assert job_a.job_id != job_b.job_id
         assert routing_key(job_a) == routing_key(job_b)
 
-    def test_uncacheable_jobs_still_route_deterministically(self, monkeypatch):
-        from repro.service import cache as service_cache
+    def test_uncacheable_jobs_have_no_routing_key(self):
+        # Only an explicit contraction plan makes a job uncacheable, and
+        # such a job has no wire form either: routing refuses it by name.
+        from repro.core import SimOptions
 
-        # A job the result cache cannot key must still route
-        # deterministically, through the hash of its canonical JSON.
-        monkeypatch.setattr(service_cache, "request_key", lambda *a: None)
-        job_a = JobSpec(ghz(3), backend="arrays")
-        job_b = JobSpec(ghz(3), backend="arrays")
-        key = routing_key(job_a)
-        assert key.startswith("route:")
-        assert key == routing_key(job_b)
+        job = JobSpec(ghz(3), backend="tn", options=SimOptions(plan=[(0, 1)]))
+        with pytest.raises(TypeError, match="plan"):
+            routing_key(job)
+        with pytest.raises(TypeError):
+            job.to_dict()
 
     def test_parse_address(self):
         assert parse_address("tcp://10.0.0.1:8123") == (
@@ -419,12 +421,19 @@ class TestCluster:
         """Kill one shard after it accepts its second request: every job
         still completes (failover to the surviving shard), the recovery
         is audited, and nothing leaks."""
+        # Caching off on both shards: under the REPRO_CACHE=1 profile they
+        # would serve warm what this process computed first, and the kill
+        # would hit nothing in flight.
         victim = ShardProcess(
             unix_path=str(tmp_path / "victim.sock"),
-            env={"REPRO_FAULTS": "kill_after=2,kill_delay_s=0.0"},
+            env={
+                "REPRO_CACHE": "0",
+                "REPRO_FAULTS": "kill_after=2,kill_delay_s=0.0",
+            },
         ).start()
         survivor = ShardProcess(
-            unix_path=str(tmp_path / "survivor.sock")
+            unix_path=str(tmp_path / "survivor.sock"),
+            env={"REPRO_CACHE": "0"},
         ).start()
         victim_pid, survivor_pid = victim.pid, survivor.pid
         routed = jobs_routed_to([victim.address, survivor.address], 4)

@@ -176,14 +176,12 @@ class TestJobFormat:
                 validate_task_args(task, {})
 
     def test_canonical_options_drop_scheduling_knobs(self):
-        options = SimOptions.from_kwargs(
-            seed=3, n_jobs=8, executor="thread", shm=False, trace=True
-        )
+        options = SimOptions.from_kwargs(seed=3, n_jobs=8, trace=True)
         data = options.canonical_dict()
         assert set(data) & set(RESULT_INVARIANT_FIELDS) == set()
         back = SimOptions.from_canonical(data)
         assert back.seed == 3
-        assert back.n_jobs is None and back.executor is None
+        assert back.n_jobs is None
 
     def test_plan_has_no_canonical_form(self):
         options = SimOptions.from_kwargs(plan=object())
@@ -204,8 +202,6 @@ class TestRequestKey:
     def test_every_result_invariant_field_shares_the_key(self):
         alternates = {
             "n_jobs": 4,
-            "executor": "thread",
-            "shm": False,
             "trace": True,
             "progress": lambda event: None,
             "cache": True,
@@ -222,6 +218,16 @@ class TestRequestKey:
             assert (
                 request_key(self.CIRCUIT, "arrays", "full_state", options) == base
             ), f"scheduling knob {name!r} must not change the cache key"
+
+    def test_key_is_pinned(self):
+        """The key format is frozen: a change to SimOptions that leaves
+        the result-relevant fields alone must not move stored entries."""
+        options = SimOptions.from_kwargs(
+            seed=7, n_jobs=2, budget=None, accuracy=None
+        )
+        assert request_key(
+            self.CIRCUIT, "arrays", "full_state", options, None
+        ) == "551b290c0a99d64717914ea8d4f3cffc1b290add83393e293601db854d781b8a"
 
     def test_result_relevant_fields_change_the_key(self):
         base = request_key(
@@ -545,9 +551,7 @@ class TestKeySoundness:
     def test_equal_keys_imply_bitwise_equal_results(self, circuit, seed):
         """Two requests with the same key are interchangeable, per backend."""
         plain = SimOptions.from_kwargs(seed=seed)
-        scheduled = SimOptions.from_kwargs(
-            seed=seed, n_jobs=4, executor="thread", shm=False, cache=False
-        )
+        scheduled = SimOptions.from_kwargs(seed=seed, n_jobs=4, cache=False)
         renamed = circuit_from_dict(circuit_to_dict(circuit))
         renamed.name = "other-name"
         for backend in ("arrays", "dd", "mps"):
@@ -560,8 +564,6 @@ class TestKeySoundness:
                 backend=backend,
                 seed=seed,
                 n_jobs=4,
-                executor="thread",
-                shm=False,
                 cache=False,
             )
             assert_bitwise_equal(a, b)
@@ -589,12 +591,10 @@ class TestKeySoundness:
     )
     @given(circuit=small_circuits(max_qubits=3, max_gates=10), seed=seeds())
     def test_batch_scheduling_knobs_cannot_change_bits(self, circuit, seed):
-        """n_jobs/executor pick workers, not results (the exclusion's basis)."""
+        """n_jobs picks workers, not results (the exclusion's basis)."""
         circuits = [circuit] * 3
         serial = simulate_many(circuits, backend="arrays", seed=seed)
-        threaded = simulate_many(
-            circuits, backend="arrays", seed=seed, n_jobs=2, executor="thread"
-        )
+        threaded = simulate_many(circuits, backend="arrays", seed=seed, n_jobs=2)
         for a, b in zip(serial, threaded):
             assert_bitwise_equal(a, b)
 
@@ -894,18 +894,6 @@ class TestSimulationService:
         outcome = run(go())
         assert outcome.status == "failed"
         assert isinstance(outcome.error, ResourceExhausted)
-
-    def test_process_executor_runs_the_durable_job_form(self):
-        circuit = library.bell_pair()
-
-        async def go():
-            async with SimulationService(
-                max_workers=1, executor="process"
-            ) as service:
-                return await service.simulate(circuit, backend="arrays", seed=5)
-
-        result = run(go())
-        assert_bitwise_equal(result, simulate(circuit, backend="arrays", seed=5))
 
     def test_warm_cache_resubmission_skips_execution(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")

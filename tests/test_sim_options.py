@@ -34,8 +34,11 @@ class TestSimOptions:
         assert opts.as_dict()["cutoff"] == 1e-12
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(TypeError, match="unknown simulation option"):
-            SimOptions.from_kwargs(bond_max=4)
+        # executor= and shm= are not options: pooled work always runs on
+        # threads, so they are rejected like any misspelling.
+        for kwargs in ({"bond_max": 4}, {"executor": "thread"}, {"shm": False}):
+            with pytest.raises(TypeError, match="unknown simulation option"):
+                SimOptions.from_kwargs(**kwargs)
 
     def test_facades_reject_unknown_options(self):
         bell = library.bell_pair()
