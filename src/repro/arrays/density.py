@@ -14,6 +14,7 @@ import numpy as np
 
 from ..circuits.circuit import Operation, QuantumCircuit
 from . import kernels
+from .measurement import sample_probabilities
 from .noise import KrausChannel, NoiseModel
 from .statevector import _gather_indices
 
@@ -115,15 +116,7 @@ class DensityMatrixResult:
         return float(np.real(np.vdot(state, self.rho @ state)))
 
     def sample_counts(self, shots: int, seed: int = 0) -> Dict[str, int]:
-        probs = self.probabilities()
-        probs = probs / probs.sum()
-        rng = np.random.default_rng(seed)
-        outcomes = rng.choice(len(probs), size=shots, p=probs)
-        counts: Dict[str, int] = {}
-        for outcome in outcomes:
-            key = format(int(outcome), f"0{self.num_qubits}b")
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return sample_probabilities(self.probabilities(), shots, seed=seed)
 
 
 class DensityMatrixSimulator:

@@ -25,6 +25,7 @@ from ..parallel import (
 )
 from ..resources import ResourceBudget
 from .batched import trajectory_chunk_probabilities
+from .measurement import sample_probabilities
 from .noise import NoiseModel
 
 
@@ -49,15 +50,7 @@ class TrajectoryResult:
         return self.probs
 
     def sample_counts(self, shots: int, seed: int = 0) -> Dict[str, int]:
-        num_qubits = int(len(self.probs)).bit_length() - 1
-        rng = np.random.default_rng(seed)
-        normalized = self.probs / self.probs.sum()
-        outcomes = rng.choice(len(self.probs), size=shots, p=normalized)
-        counts: Dict[str, int] = {}
-        for outcome in outcomes:
-            key = format(int(outcome), f"0{num_qubits}b")
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return sample_probabilities(self.probs, shots, seed=seed)
 
 
 def _trajectory_chunk_worker(

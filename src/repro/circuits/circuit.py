@@ -430,8 +430,3 @@ class QuantumCircuit:
             )
             lines.append(f"  {idx:4d}: {label} {wires}")
         return "\n".join(lines)
-
-
-def bit_reversal_permutation(num_qubits: int) -> List[int]:
-    """Mapping that reverses qubit significance (used by QFT constructions)."""
-    return list(reversed(range(num_qubits)))

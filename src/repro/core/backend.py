@@ -291,6 +291,24 @@ def _result_cache_target(
     return result_cache, key
 
 
+def probe_cache(result_cache: Any, key: str) -> Optional[Tuple[Any, Dict, str]]:
+    """Look ``key`` up in ``result_cache``; ``(value, metadata, backend)`` on a hit.
+
+    The hit's metadata is annotated ``metadata["cache"]``.  With tracing
+    on, the lookup is a ``cache.probe`` span with a ``hit`` attribute;
+    with it off, no span opens.
+    """
+    with obs_trace.span("cache.probe") as probe:
+        hit = result_cache.get(key)
+        if probe is not None:
+            probe.set(hit=hit is not None)
+    if hit is None:
+        return None
+    value, meta, name = hit
+    meta["cache"] = {"hit": True, "key": key}
+    return value, meta, name
+
+
 def _execute(
     circuit: QuantumCircuit,
     backend: str,
@@ -320,27 +338,26 @@ def _execute(
 
     With the persistent result cache active
     (:mod:`repro.service.cache`), the request's content-addressed key is
-    looked up *before* any span opens — a warm hit returns the stored
-    value (annotated ``metadata["cache"]["hit"]``) without executing a
-    backend or recording a ``dispatch.attempt``.  Calls carrying a
-    ``progress`` callback or ``trace=True`` skip the lookup (they
-    promised live events / a fresh report) but still store on completion,
-    so they warm the cache for everyone else.
+    probed before the ``dispatch`` span opens (:func:`probe_cache`) — a
+    warm hit returns the stored value (annotated
+    ``metadata["cache"]["hit"]``) without executing a backend or
+    recording a ``dispatch.attempt``.  A traced probe is a
+    ``cache.probe`` span, and a traced hit's report holds just that span.
+    Calls carrying a ``progress`` callback skip the lookup (they promised
+    live events) but still store on completion, so they warm the cache
+    for everyone else.
     """
     result_cache, cache_key = _result_cache_target(
         circuit, backend, task, options, cache_extra
     )
-    if (
-        result_cache is not None
-        and options.progress is None
-        and not options.trace
-    ):
-        hit = result_cache.get(cache_key)
-        if hit is not None:
-            value, meta, name = hit
-            meta["cache"] = {"hit": True, "key": cache_key}
-            return value, meta, name
     with trace_session(options.trace) as session:
+        if result_cache is not None and options.progress is None:
+            hit = probe_cache(result_cache, cache_key)
+            if hit is not None:
+                value, meta, name = hit
+                if session is not None:
+                    meta["report"] = session.report()
+                return value, meta, name
         root = obs_trace.timed_span("dispatch", task=task, requested=backend)
         try:
             clean = circuit.without_measurements()

@@ -89,11 +89,6 @@ class Accuracy:
     def is_exact(self) -> bool:
         return float(self.target) >= 1.0
 
-    @property
-    def infidelity_budget(self) -> float:
-        """The total discardable weight, ``1 - target``."""
-        return max(0.0, 1.0 - float(self.target))
-
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
@@ -253,8 +248,9 @@ class SimOptions:
             executing any backend (``metadata["cache"]["hit"]``); the
             key excludes exactly the :data:`RESULT_INVARIANT_FIELDS`,
             so caching never changes which bits a request produces.
-            Calls with ``trace=True`` or a ``progress`` callback always
-            execute (fresh report / live events) but still store.
+            A traced call probes the cache too; its hit carries a report
+            with one ``cache.probe`` span.  Calls with a ``progress``
+            callback always execute (live events) but still store.
     """
 
     seed: int = 0

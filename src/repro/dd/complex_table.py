@@ -53,14 +53,5 @@ class ComplexTable:
         self._buckets[center] = value
         return value
 
-    def approx_zero(self, value: complex) -> bool:
-        return abs(value.real) <= self.tolerance and abs(value.imag) <= self.tolerance
-
-    def approx_one(self, value: complex) -> bool:
-        return (
-            abs(value.real - 1.0) <= self.tolerance
-            and abs(value.imag) <= self.tolerance
-        )
-
     def __len__(self) -> int:
         return len(self._buckets)

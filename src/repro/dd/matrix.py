@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..circuits.circuit import Operation, QuantumCircuit
+from ..circuits.circuit import QuantumCircuit
 from .node import Edge
 from .package import DDPackage
 from .vector import VectorDD
@@ -24,13 +24,6 @@ class MatrixDD:
     def identity(cls, num_qubits: int, package: Optional[DDPackage] = None) -> "MatrixDD":
         package = package or DDPackage()
         return cls(package, package.identity_edge(num_qubits), num_qubits)
-
-    @classmethod
-    def from_operation(
-        cls, op: Operation, num_qubits: int, package: Optional[DDPackage] = None
-    ) -> "MatrixDD":
-        package = package or DDPackage()
-        return cls(package, package.gate_edge(op, num_qubits), num_qubits)
 
     @classmethod
     def from_circuit(

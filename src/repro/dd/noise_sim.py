@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..arrays.measurement import sample_probabilities
 from ..arrays.noise import KrausChannel, NoiseModel
 from ..circuits.circuit import Operation, QuantumCircuit
 from ..circuits.gates import Gate
@@ -56,15 +57,7 @@ class NoisyDDResult:
         return self.probs
 
     def sample_counts(self, shots: int, seed: int = 0) -> Dict[str, int]:
-        num_qubits = int(len(self.probs)).bit_length() - 1
-        rng = np.random.default_rng(seed)
-        normalized = self.probs / self.probs.sum()
-        outcomes = rng.choice(len(self.probs), size=shots, p=normalized)
-        counts: Dict[str, int] = {}
-        for outcome in outcomes:
-            key = format(int(outcome), f"0{num_qubits}b")
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return sample_probabilities(self.probs, shots, seed=seed)
 
 
 def _chunk_progress(

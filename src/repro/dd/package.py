@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..arrays.measurement import sample_in_blocks
 from ..circuits.circuit import Operation
 from ..resources import NodeBudgetExceeded
 from .complex_table import ONE, ZERO, ComplexTable
@@ -554,27 +555,55 @@ class DDPackage:
     def sample(
         self, edge: Edge, num_qubits: int, shots: int, seed: int = 0
     ) -> Dict[str, int]:
-        """Sample measurement outcomes directly from the DD (no 2^n vector)."""
+        """Sample measurement outcomes directly from the DD (no 2^n vector).
+
+        The nodes of each level are numbered top-down, giving a table of
+        child slots and squared edge weights per level.  Bottom-up, a
+        node's branch masses are its squared weights times the children's
+        norms (as in :meth:`node_norms`), so each level becomes a p(1)
+        table.  Every shot then advances one level per step: one uniform
+        per shot picks a bit and indexes the next node.
+        """
         rng = np.random.default_rng(seed)
-        norms = self.node_norms(edge)
-        counts: Dict[str, int] = {}
-        for _ in range(shots):
-            bits = ["0"] * num_qubits
-            node = edge.node
-            while not node.is_terminal:
-                e0, e1 = node.edges
-                p0 = abs(e0.weight) ** 2 * norms[id(e0.node)] if e0.weight != 0 else 0.0
-                p1 = abs(e1.weight) ** 2 * norms[id(e1.node)] if e1.weight != 0 else 0.0
-                total = p0 + p1
-                choose_one = rng.random() < p1 / total
-                if choose_one:
-                    bits[num_qubits - 1 - node.var] = "1"
-                    node = e1.node
-                else:
-                    node = e0.node
-            key = "".join(bits)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        tables = []
+        frontier = [edge.node]
+        while not frontier[0].is_terminal:
+            slots: Dict[DDNode, int] = {}
+            children: List[int] = []
+            squared: List[float] = []
+            for node in frontier:
+                for e in node.edges:
+                    # A zero edge is never taken; its slot is a placeholder.
+                    children.append(
+                        slots.setdefault(e.node, len(slots)) if e.weight != 0 else 0
+                    )
+                    squared.append(abs(e.weight) ** 2)
+            tables.append(
+                (
+                    frontier[0].var,
+                    np.array(squared).reshape(-1, 2),
+                    np.array(children, dtype=np.intp).reshape(-1, 2),
+                )
+            )
+            frontier = list(slots)
+        levels = []
+        norms = np.ones(1)
+        for var, squared, children in reversed(tables):
+            mass = squared * norms[children]
+            norms = mass.sum(axis=1)
+            levels.append((var, mass[:, 1] / norms, children))
+        levels.reverse()
+
+        def draw(size: int) -> np.ndarray:
+            bits = np.zeros((size, num_qubits), dtype=np.uint8)
+            at = np.zeros(size, dtype=np.intp)
+            for var, p_one, children in levels:
+                one = rng.random(size) < p_one[at]
+                bits[:, var] = one
+                at = children[at, one.view(np.uint8)]
+            return bits
+
+        return sample_in_blocks(draw, shots, num_qubits)
 
     def measure_probability(self, edge: Edge, qubit: int, outcome: int) -> float:
         """Probability of measuring ``qubit`` as ``outcome`` (edge normalized)."""

@@ -45,6 +45,7 @@ from typing import Any, AsyncIterator, Dict, List, Optional
 
 from ..circuits.circuit import QuantumCircuit
 from ..obs import metrics as obs_metrics
+from ..obs import trace_session
 from ..obs.progress import CancelledError, ProgressEvent
 from ..parallel import ThreadPool
 from . import cache as service_cache
@@ -123,10 +124,11 @@ def _cache_lookup(job: JobSpec) -> Optional[Any]:
 
     The engine always installs an internal progress hook, which makes
     the dispatcher skip its own lookup — so the engine checks first,
-    with the exact key the dispatcher would store under.
+    with the exact key the dispatcher would store under.  A traced job
+    probes like any other; its hit carries the ``cache.probe`` report.
     """
-    if job.options.trace:
-        return None
+    from ..core.backend import probe_cache
+
     cache = service_cache.active_cache(job.options)
     if cache is None:
         return None
@@ -139,11 +141,13 @@ def _cache_lookup(job: JobSpec) -> Optional[Any]:
     )
     if key is None:
         return None
-    hit = cache.get(key)
-    if hit is None:
-        return None
-    value, meta, backend_name = hit
-    meta["cache"] = {"hit": True, "key": key}
+    with trace_session(job.options.trace) as session:
+        hit = probe_cache(cache, key)
+        if hit is None:
+            return None
+        value, meta, backend_name = hit
+        if session is not None:
+            meta["report"] = session.report()
     if job.task == "simulate":
         from ..core.backend import SimulationResult
 

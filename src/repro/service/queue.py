@@ -99,10 +99,6 @@ class PriorityJobQueue:
         with self._lock:
             return self._state(tenant).quota
 
-    def set_quota(self, tenant: str, quota: TenantQuota) -> None:
-        with self._lock:
-            self._state(tenant).quota = quota
-
     # -- queue operations ----------------------------------------------------
 
     def push(self, item: Any, priority: int, tenant: str = "") -> None:
@@ -178,12 +174,6 @@ class PriorityJobQueue:
     def depth(self) -> int:
         with self._lock:
             return len(self._heap) - len(self._removed)
-
-    def tenant_counts(self, tenant: str = "") -> Tuple[int, int]:
-        """``(pending, running)`` for one tenant."""
-        with self._lock:
-            state = self._state(tenant)
-            return state.pending, state.running
 
 
 def split_warm(

@@ -544,19 +544,6 @@ class ClusterScheduler:
             )
         )
 
-    async def shutdown_shards(self) -> None:
-        """Ask every reachable shard to stop serving (best effort)."""
-        for state in self.shards.values():
-            try:
-                await asyncio.wait_for(
-                    self._request(
-                        state.address, self._make_request("shutdown")
-                    ),
-                    timeout=self.connect_timeout_s,
-                )
-            except (asyncio.TimeoutError, *_TRANSPORT_ERRORS):
-                continue
-
 
 _TRANSPORT_ERRORS = (
     ConnectionError,

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..arrays.measurement import sample_in_blocks
 from ..circuits.circuit import Operation, QuantumCircuit
 
 
@@ -240,7 +241,8 @@ class StabilizerTableau:
         defined up to a global phase.
         """
         n = self.num_qubits
-        index0 = self._support_basis_state()
+        offset, _ = self.support()
+        index0 = sum(int(bit) << q for q, bit in enumerate(offset))
         dim = 1 << n
         state = np.zeros(dim, dtype=np.complex128)
         state[index0] = 1.0
@@ -265,40 +267,42 @@ class StabilizerTableau:
             raise RuntimeError("inconsistent tableau: empty support")
         return state / norm
 
-    def _support_basis_state(self) -> int:
-        """Index of one computational basis state with nonzero amplitude.
+    def support(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The computational-basis support as ``(x0, B)``, bits by qubit.
 
-        Row-reduces the stabilizer generators over their X-parts; the
-        X-free (pure-Z) rows ``+-Z^a`` constrain support states by
-        ``a . x = r (mod 2)``, which is solved over GF(2).
+        A stabilizer state is flat on the affine space ``x0 + span(B)``
+        over GF(2).  Row-reducing the stabilizer generators over their
+        X-parts leaves one pivot row per independent X-part; those X-parts
+        are the rows of ``B``.  The X-free (pure-Z) rows ``+-Z^a``
+        constrain support states by ``a . x = r (mod 2)``, which is solved
+        over GF(2) for ``x0``.
         """
         n = self.num_qubits
         xs = self.x[n:].astype(np.int64)
         zs = self.z[n:].astype(np.int64)
         rs = self.r[n:].astype(np.int64)
-        rows = [(xs[k].copy(), zs[k].copy(), int(rs[k])) for k in range(n)]
-        used = [False] * n
+        free = np.ones(n, dtype=bool)
+        pivots = []
         for col in range(n):
-            pivot = next(
-                (k for k in range(n) if not used[k] and rows[k][0][col]), None
-            )
-            if pivot is None:
+            hits = xs[:, col] == 1
+            candidates = np.flatnonzero(hits & free)
+            if not len(candidates):
                 continue
-            used[pivot] = True
-            px, pz, pr = rows[pivot]
-            for k in range(n):
-                if k != pivot and rows[k][0][col]:
-                    kx, kz, kr = rows[k]
-                    rows[k] = _pauli_row_product(px, pz, pr, kx, kz, kr)
-        constraints = [rows[k] for k in range(n) if not rows[k][0].any()]
-        if not constraints:
-            return 0
-        system = np.stack([z for _, z, _ in constraints])
-        rhs = np.array([r for _, _, r in constraints], dtype=np.int64)
-        solution = _solve_gf2(system, rhs)
+            pivot = candidates[0]
+            free[pivot] = False
+            pivots.append(pivot)
+            hits[pivot] = False
+            xs[hits], zs[hits], rs[hits] = _pauli_row_product(
+                xs[pivot], zs[pivot], rs[pivot], xs[hits], zs[hits], rs[hits]
+            )
+        basis = xs[pivots]
+        z_only = ~xs.any(axis=1)
+        if not z_only.any():
+            return np.zeros(n, dtype=np.int64), basis
+        solution = _solve_gf2(zs[z_only], rs[z_only])
         if solution is None:  # pragma: no cover - valid tableaus are consistent
             raise RuntimeError("inconsistent tableau: no support basis state")
-        return int(sum(int(solution[q]) << q for q in range(n)))
+        return solution, basis
 
 
 def _pauli_row_product(x1, z1, r1, x2, z2, r2):
@@ -306,7 +310,8 @@ def _pauli_row_product(x1, z1, r1, x2, z2, r2):
 
     Same phase bookkeeping as Aaronson-Gottesman rowsum; valid whenever the
     rows commute (always true inside a stabilizer group), where the product
-    phase is guaranteed to be ``+-1``.
+    phase is guaranteed to be ``+-1``.  ``(x2, z2, r2)`` may be a stack of
+    rows (leading axis), each multiplied by the same row 1.
     """
     x1 = np.asarray(x1, dtype=np.int64)
     z1 = np.asarray(z1, dtype=np.int64)
@@ -317,7 +322,7 @@ def _pauli_row_product(x1, z1, r1, x2, z2, r2):
         + x1 * (1 - z1) * z2 * (2 * x2 - 1)
         + (1 - x1) * z1 * x2 * (1 - 2 * z2)
     )
-    total = 2 * int(r1) + 2 * int(r2) + int(g.sum())
+    total = 2 * np.asarray(r1) + 2 * np.asarray(r2) + g.sum(axis=-1)
     return x1 ^ x2, z1 ^ z2, (total % 4) // 2
 
 
@@ -335,16 +340,17 @@ def _solve_gf2(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     for col in range(n):
         if row >= m:
             break
-        sel = next((k for k in range(row, m) if a[k, col]), None)
-        if sel is None:
+        below = np.flatnonzero(a[row:, col])
+        if not len(below):
             continue
+        sel = row + below[0]
         if sel != row:
             a[[row, sel]] = a[[sel, row]]
             b[row], b[sel] = b[sel], b[row]
-        for k in range(m):
-            if k != row and a[k, col]:
-                a[k] ^= a[row]
-                b[k] ^= b[row]
+        hits = a[:, col] == 1
+        hits[row] = False
+        a[hits] ^= a[row]
+        b[hits] ^= b[row]
         pivot_cols.append(col)
         row += 1
     for k in range(row, m):
@@ -385,23 +391,28 @@ class StabilizerSimulator:
     def sample_counts(
         self, circuit: QuantumCircuit, shots: int, seed: int = 0
     ) -> Dict[str, int]:
-        """Measure all qubits ``shots`` times (fresh run per shot)."""
+        """Measure all qubits ``shots`` times (one evolution, then sampling)."""
         base, _ = self.run(circuit.without_measurements())
         return self.sample_counts_from(base, shots, seed=seed)
 
     def sample_counts_from(
         self, tableau: StabilizerTableau, shots: int, seed: int = 0
     ) -> Dict[str, int]:
-        """Measure all qubits of an evolved tableau ``shots`` times."""
+        """Measure all qubits of an evolved tableau ``shots`` times.
+
+        Outcomes are uniform over the support ``x0 + span(B)``
+        (:meth:`StabilizerTableau.support`), so a block of shots is one
+        integer product of uniform (shots x k) bits with ``B`` (k x n),
+        reduced mod 2 and XORed onto ``x0``.  The tableau is not touched.
+        """
         rng = np.random.default_rng(seed)
-        counts: Dict[str, int] = {}
-        n = tableau.num_qubits
-        for _ in range(shots):
-            copy = tableau.copy()
-            bits = [str(copy.measure(q, rng)) for q in range(n)]
-            key = "".join(reversed(bits))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        offset, basis = tableau.support()
+
+        def draw(size: int) -> np.ndarray:
+            coeffs = rng.integers(0, 2, size=(size, len(basis)), dtype=np.int64)
+            return ((coeffs @ basis) & 1) ^ offset
+
+        return sample_in_blocks(draw, shots, tableau.num_qubits)
 
     def _apply(self, tableau: StabilizerTableau, op: Operation) -> None:
         name = op.gate.name

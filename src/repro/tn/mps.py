@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..arrays.measurement import sample_in_blocks
 from ..circuits.circuit import Operation, QuantumCircuit
 from ..circuits.gates import SWAP, controlled_matrix
 from ..obs import metrics as obs_metrics
@@ -274,33 +275,32 @@ class MPS:
         return envs
 
     def sample_counts(self, shots: int, seed: int = 0) -> Dict[str, int]:
-        """Sample bitstrings without building the dense state."""
+        """Sample bitstrings without building the dense state.
+
+        One sweep over the sites carries a (shots x bond) batch of left
+        vectors.  At site ``k`` both branches' weights come from the right
+        environment ``R[k+1]``; one uniform per shot picks a bit, and the
+        chosen branch, renormalised, becomes the next left vector.
+        """
         rng = np.random.default_rng(seed)
         envs = self._right_environments()
-        n = self.num_qubits
-        counts: Dict[str, int] = {}
-        for _ in range(shots):
-            bits = []
-            vector = np.ones((1,), dtype=np.complex128)
-            weight = 1.0
-            for k in range(n):
-                tensor = self.tensors[k]
-                probs = []
-                candidates = []
-                for s in (0, 1):
-                    v = vector @ tensor[:, s, :]
-                    p = float(
-                        np.real(v.conj() @ envs[k + 1] @ v)
-                    )
-                    probs.append(max(p, 0.0))
-                    candidates.append(v)
-                total = probs[0] + probs[1]
-                pick = 1 if rng.random() < probs[1] / total else 0
-                bits.append(pick)
-                vector = candidates[pick] / math.sqrt(max(probs[pick], 1e-300))
-            key = "".join(str(b) for b in reversed(bits))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+
+        def draw(size: int) -> np.ndarray:
+            bits = np.zeros((size, self.num_qubits), dtype=np.uint8)
+            vectors = np.ones((size, 1), dtype=np.complex128)
+            for k, tensor in enumerate(self.tensors):
+                branches = np.einsum("ia,asc->sic", vectors, tensor)
+                weights = np.einsum(
+                    "sic,sic->si", branches @ envs[k + 1], branches.conj()
+                ).real.clip(min=0.0)
+                one = rng.random(size) * (weights[0] + weights[1]) < weights[1]
+                bits[:, k] = one
+                picked = np.where(one, weights[1], weights[0])
+                vectors = np.where(one[:, None], branches[1], branches[0])
+                vectors /= np.sqrt(np.maximum(picked, 1e-300))[:, None]
+            return bits
+
+        return sample_in_blocks(draw, shots, self.num_qubits)
 
     def expectation_pauli(self, pauli: str) -> float:
         """<psi| P |psi> for a Pauli string (leftmost char = highest qubit)."""

@@ -40,9 +40,6 @@ class Tensor:
         """Number of stored complex entries."""
         return int(self.data.size)
 
-    def dimension_of(self, index: str) -> int:
-        return int(self.data.shape[self.indices.index(index)])
-
     def relabeled(self, mapping: Dict[str, str]) -> "Tensor":
         return Tensor(self.data, [mapping.get(i, i) for i in self.indices])
 

@@ -170,16 +170,3 @@ def _emit(builder: _Builder, op: Operation) -> None:
         pieces = list(decompose_to_two_qubit(shim).operations)
     for piece in pieces:
         _emit(builder, piece)
-
-
-def zx_to_circuit_naive(diagram: ZXDiagram) -> QuantumCircuit:
-    """Convert a circuit-shaped ZX-diagram back to a circuit.
-
-    Only works on diagrams that still have circuit structure (every spider
-    of degree <= 2 on a single qubit line, plus two-spider gates) — i.e. the
-    output of :func:`circuit_to_zx` before heavy rewriting.  For reduced
-    graph-like diagrams use :func:`repro.zx.extract.extract_circuit`.
-    """
-    from .extract import extract_circuit
-
-    return extract_circuit(diagram)

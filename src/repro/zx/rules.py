@@ -73,13 +73,6 @@ def color_change(diagram: ZXDiagram, v: int) -> None:
         diagram.edges[u][v] = new
 
 
-def _is_graph_like_spider(diagram: ZXDiagram, v: int) -> bool:
-    return diagram.types[v] == VertexType.Z and all(
-        diagram.edges[v][u] == EdgeType.HADAMARD or diagram.is_boundary(u)
-        for u in diagram.edges[v]
-    )
-
-
 def check_local_complementation(diagram: ZXDiagram, v: int) -> bool:
     return (
         not diagram.is_boundary(v)

@@ -31,6 +31,13 @@ from repro.dd.noise_sim import NoisyDDSimulator
 from repro.verify.tn_check import check_equivalence_random_stimuli
 
 
+@pytest.fixture(autouse=True)
+def uncached(monkeypatch):
+    """Force the result cache off: these tests check what a traced
+    execution records, and a warm hit executes nothing."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
+
+
 @pytest.fixture
 def untraced(monkeypatch):
     """Force tracing off (the suite may run under REPRO_TRACE=1)."""

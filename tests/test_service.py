@@ -419,7 +419,7 @@ class TestCacheIntegration:
         assert "cache" not in cold.metadata
         assert default_cache().stats()["stores"] == 1
         with repro.trace_session() as session:
-            warm = simulate(circuit, backend="arrays", seed=9)
+            warm = simulate(circuit, backend="arrays", seed=9, trace=False)
             report = session.report()
         assert warm.metadata["cache"]["hit"] is True
         assert_bitwise_equal(cold, warm)
@@ -483,18 +483,19 @@ class TestCacheIntegration:
         )
         assert warm_a == cold_a and meta_a["cache"]["hit"] is True
 
-    def test_trace_bypasses_lookup_but_stores(self, monkeypatch):
+    def test_traced_request_probes_the_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")
         circuit = library.qft(3)
         first = simulate(circuit, backend="arrays", seed=2, trace=True)
         assert "report" in first.metadata and "cache" not in first.metadata
         second = simulate(circuit, backend="arrays", seed=2, trace=True)
-        assert "report" in second.metadata and "cache" not in second.metadata
+        assert second.metadata["cache"]["hit"] is True
+        assert_bitwise_equal(first, second)
+        (probe,) = second.metadata["report"]["spans"]
+        assert probe["name"] == "cache.probe"
+        assert probe["attributes"]["hit"] is True
         stats = default_cache().stats()
-        assert stats["stores"] == 2 and stats["hits"] == 0
-        warm = simulate(circuit, backend="arrays", seed=2)
-        assert warm.metadata["cache"]["hit"] is True
-        assert_bitwise_equal(first, warm)
+        assert stats["stores"] == 1 and stats["hits"] == 1
 
     def test_progress_bypasses_lookup_but_stores(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")

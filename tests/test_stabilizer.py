@@ -93,21 +93,36 @@ def test_ghz_measurement_correlation():
 
 
 def test_sample_counts_match_dense_distribution():
-    circuit = random_circuits.random_clifford_circuit(3, 20, seed=4)
-    dense = StatevectorSimulator().statevector(circuit)
-    probs = np.abs(dense) ** 2
-    counts = StabilizerSimulator(seed=2).sample_counts(circuit, 500, seed=6)
-    # every sampled outcome must have nonzero dense probability
-    for bits, count in counts.items():
-        index = int(bits, 2)
-        assert probs[index] > 1e-9
-    # and high-probability outcomes must appear
-    support = {format(i, "03b") for i in range(8) if probs[i] > 1e-9}
-    assert set(counts) <= support
-    # uniform over support (stabilizer states are flat on their support)
-    expected = 500 / len(support)
-    for bits in support:
-        assert abs(counts.get(bits, 0) - expected) < 6 * np.sqrt(expected) + 10
+    cases = [(3, 20, 4, 500), (6, 60, 5, 4000), (10, 120, 6, 4000)]
+    for num_qubits, num_gates, circuit_seed, shots in cases:
+        circuit = random_circuits.random_clifford_circuit(
+            num_qubits, num_gates, seed=circuit_seed
+        )
+        dense = StatevectorSimulator().statevector(circuit)
+        probs = np.abs(dense) ** 2
+        counts = StabilizerSimulator(seed=2).sample_counts(circuit, shots, seed=6)
+        assert sum(counts.values()) == shots
+        # every sampled outcome must have nonzero dense probability
+        for bits, count in counts.items():
+            index = int(bits, 2)
+            assert probs[index] > 1e-9
+        # and high-probability outcomes must appear
+        support = {
+            format(i, f"0{num_qubits}b")
+            for i in range(1 << num_qubits)
+            if probs[i] > 1e-9
+        }
+        assert set(counts) <= support
+        # uniform over support (stabilizer states are flat on their support)
+        expected = shots / len(support)
+        for bits in support:
+            assert abs(counts.get(bits, 0) - expected) < 6 * np.sqrt(expected) + 10
+        # and jointly so: Pearson's statistic within 6 sigmas of its mean
+        dof = len(support) - 1
+        chi2 = sum(
+            (counts.get(bits, 0) - expected) ** 2 / expected for bits in support
+        )
+        assert chi2 <= dof + 6 * np.sqrt(2 * max(dof, 1)) + 1, num_qubits
 
 
 def test_expectation_z():
