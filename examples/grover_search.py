@@ -8,8 +8,6 @@ outcomes directly from the decision diagram (no 2^n vector involved).
 
 import time
 
-import numpy as np
-
 from repro.circuits import library
 from repro.core import BACKENDS, simulate
 from repro.dd import DDSimulator

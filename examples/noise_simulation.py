@@ -5,8 +5,6 @@ fidelity and entanglement witness values decay — the use case that forces
 the array representation from vectors (2^n) to matrices (4^n).
 """
 
-import numpy as np
-
 from repro.arrays import (
     DensityMatrixSimulator,
     NoiseModel,

@@ -21,7 +21,7 @@ engine relies on.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -135,27 +135,19 @@ def sample_kraus_batched(
     return states
 
 
-def _apply_noise_batched(
+def _apply_noisy_operation(
     states: np.ndarray,
     op: Operation,
     noise_model: Optional[NoiseModel],
     num_qubits: int,
     rng: np.random.Generator,
 ) -> None:
+    """Apply ``op`` and draw its noise for every trajectory, in place."""
+    kernels.apply_operation_fast(states, op, num_qubits)
     if noise_model is None:
         return
-    channel = noise_model.channel_for(op.name_with_controls(), op.num_qubits)
-    if channel is None:
-        return
-    if channel.num_qubits == 1:
-        for q in op.qubits:
-            sample_kraus_batched(states, channel, [q], num_qubits, rng)
-    elif channel.num_qubits == len(op.qubits):
-        sample_kraus_batched(states, channel, list(op.qubits), num_qubits, rng)
-    else:
-        raise ValueError(
-            f"channel '{channel.name}' arity does not match the operation"
-        )
+    for channel, targets in noise_model.locations(op):
+        sample_kraus_batched(states, channel, targets, num_qubits, rng)
 
 
 def run_trajectory_batch(
@@ -169,10 +161,13 @@ def run_trajectory_batch(
 
     Returns the final ``(2**n, batch)`` state stack.  Mid-circuit
     measurements collapse each trajectory independently (one uniform per
-    trajectory per measurement); noisy locations sample one Kraus branch
-    per trajectory.  A :class:`~repro.resources.ResourceBudget` guards
-    the ``16 * batch * 2**n``-byte stack up front and the gate loop's
-    wall clock.
+    trajectory per measurement) and record a ``(batch,)`` outcome array
+    per classical bit; a conditioned op, and its noise, then acts only on
+    the trajectories whose bit holds the condition's value (an unmeasured
+    bit reads 0).  Noisy locations sample one Kraus branch per
+    trajectory.  A :class:`~repro.resources.ResourceBudget` guards the
+    ``16 * batch * 2**n``-byte stack up front and the gate loop's wall
+    clock.
     """
     n = circuit.num_qubits
     deadline = None
@@ -185,6 +180,7 @@ def run_trajectory_batch(
         deadline = budget.deadline()
     states = zero_states(n, batch)
     obs_metrics.gauge_max(obs_metrics.TRAJ_BATCH_BYTES, states.nbytes)
+    classical: Dict[int, np.ndarray] = {}
     for position, op in enumerate(circuit.operations):
         if deadline is not None and position % _DEADLINE_CHECK_INTERVAL == 0:
             deadline.check(backend="arrays", context="trajectory batch")
@@ -202,9 +198,20 @@ def run_trajectory_batch(
                 )
             )
             batched_collapse(states, qubit, outcomes, norms)
+            if op.clbits:
+                classical[op.clbits[0]] = outcomes
             continue
-        kernels.apply_operation_fast(states, op, n)
-        _apply_noise_batched(states, op, noise_model, n, rng)
+        if op.condition is not None:
+            clbit, value = op.condition
+            fires = classical.get(clbit, np.zeros(batch, dtype=np.int64)) == value
+            if not fires.any():
+                continue
+            if not fires.all():
+                sub = states[:, fires]
+                _apply_noisy_operation(sub, op, noise_model, n, rng)
+                states[:, fires] = sub
+                continue
+        _apply_noisy_operation(states, op, noise_model, n, rng)
     return states
 
 

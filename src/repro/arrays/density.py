@@ -12,7 +12,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..circuits.circuit import Operation, QuantumCircuit
+from ..circuits.circuit import QuantumCircuit
 from . import kernels
 from .measurement import sample_probabilities
 from .noise import KrausChannel, NoiseModel
@@ -120,7 +120,12 @@ class DensityMatrixResult:
 
 
 class DensityMatrixSimulator:
-    """Noise-aware mixed-state simulator."""
+    """Noise-aware mixed-state simulator.
+
+    A measurement dephases the measured qubit (non-selective), so no
+    classical bit exists to condition on: :meth:`run` raises
+    ``ValueError`` on a circuit with classically conditioned ops.
+    """
 
     def __init__(
         self,
@@ -135,6 +140,13 @@ class DensityMatrixSimulator:
         circuit: QuantumCircuit,
         initial_rho: Optional[np.ndarray] = None,
     ) -> DensityMatrixResult:
+        conditioned = [op for op in circuit.operations if op.condition is not None]
+        if conditioned:
+            raise ValueError(
+                f"classically conditioned op {conditioned[0]!r}: the density "
+                "simulator's measurement is non-selective, so it records no "
+                "bit to condition on"
+            )
         n = circuit.num_qubits
         if initial_rho is None:
             rho = zero_density(n)
@@ -148,25 +160,10 @@ class DensityMatrixSimulator:
                 continue
             matrix = op.gate.matrix
             _conjugate_by(rho, matrix, op.targets, op.controls, n, self.method)
-            self._apply_noise(rho, op, n)
+            if self.noise_model is not None:
+                for channel, targets in self.noise_model.locations(op):
+                    apply_channel(rho, channel, targets, n, self.method)
         return DensityMatrixResult(rho)
-
-    def _apply_noise(self, rho: np.ndarray, op: Operation, num_qubits: int) -> None:
-        if self.noise_model is None:
-            return
-        name = op.name_with_controls()
-        channel = self.noise_model.channel_for(name, op.num_qubits)
-        if channel is None:
-            return
-        if channel.num_qubits == 1:
-            for q in op.qubits:
-                apply_channel(rho, channel, [q], num_qubits, self.method)
-        elif channel.num_qubits == len(op.qubits):
-            apply_channel(rho, channel, list(op.qubits), num_qubits, self.method)
-        else:
-            raise ValueError(
-                f"channel '{channel.name}' arity does not match op '{name}'"
-            )
 
     @staticmethod
     def _dephase(rho: np.ndarray, qubit: int, num_qubits: int) -> None:

@@ -7,15 +7,34 @@ paper (noise-aware simulation, reference [13]).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..circuits.circuit import Operation
 from . import kernels
 
 
+_MIXED_UNITARY_ATOL = 1e-12
+"""How close every ``K_i^dagger K_i`` must be to ``c_i * I`` (and a
+unitary to ``I``) for the constant-weight analysis to apply."""
+
+
 class KrausChannel:
-    """A completely-positive trace-preserving map given by Kraus operators."""
+    """A completely-positive trace-preserving map given by Kraus operators.
+
+    The trace check forms every ``K_i^dagger K_i``; the same pass records
+    whether the channel is *mixed-unitary*, i.e. every
+    ``K_i^dagger K_i = c_i * I`` with ``c_i > 0`` (depolarizing, bit flip,
+    phase flip, two-qubit depolarizing).  Such a channel applies the
+    unitary ``U_i = K_i / sqrt(c_i)`` with a probability ``c_i`` that does
+    not depend on the state, so a trajectory engine can draw its branch
+    without weighing the state.  For those channels ``constant_weights``
+    holds the ``c_i``, ``unitaries`` the ``U_i``, and
+    ``identity_branches`` the indices whose ``U_i`` is the identity; for
+    every other channel ``mixed_unitary`` is false and the three are
+    empty.
+    """
 
     def __init__(self, name: str, operators: Sequence[np.ndarray]) -> None:
         self.name = name
@@ -25,13 +44,35 @@ class KrausChannel:
         if not self.operators:
             raise ValueError("channel needs at least one Kraus operator")
         dim = self.operators[0].shape[0]
+        identity = np.eye(dim)
         total = np.zeros((dim, dim), dtype=np.complex128)
+        weights: List[float] = []
         for k in self.operators:
             if k.shape != (dim, dim):
                 raise ValueError("Kraus operators must share one square shape")
-            total += k.conj().T @ k
-        if not np.allclose(total, np.eye(dim), atol=1e-9):
+            gram = k.conj().T @ k
+            total += gram
+            weight = float(np.real(np.trace(gram))) / dim
+            if weight > 0 and np.allclose(
+                gram, weight * identity, rtol=0.0, atol=_MIXED_UNITARY_ATOL
+            ):
+                weights.append(weight)
+        if not np.allclose(total, identity, atol=1e-9):
             raise ValueError(f"channel '{name}' is not trace preserving")
+        self.mixed_unitary = len(weights) == len(self.operators)
+        self.constant_weights: Tuple[float, ...] = ()
+        self.unitaries: Tuple[np.ndarray, ...] = ()
+        self.identity_branches: FrozenSet[int] = frozenset()
+        if self.mixed_unitary:
+            self.constant_weights = tuple(weights)
+            self.unitaries = tuple(
+                k / math.sqrt(c) for k, c in zip(self.operators, weights)
+            )
+            self.identity_branches = frozenset(
+                i
+                for i, u in enumerate(self.unitaries)
+                if np.allclose(u, identity, rtol=0.0, atol=_MIXED_UNITARY_ATOL)
+            )
 
     @property
     def num_qubits(self) -> int:
@@ -197,6 +238,28 @@ class NoiseModel:
         if num_qubits >= 2:
             return self.default_2q
         return None
+
+    def locations(
+        self, op: Operation
+    ) -> List[Tuple[KrausChannel, Tuple[int, ...]]]:
+        """Where noise strikes after ``op``: ``[(channel, targets), ...]``.
+
+        A one-qubit channel acts on each qubit of the op in turn (targets,
+        then controls); a channel of the op's arity acts once on all of
+        them.  Engines apply (or draw) the locations in this order.
+        Raises ``ValueError`` when the channel fits neither case.
+        """
+        name = op.name_with_controls()
+        channel = self.channel_for(name, op.num_qubits)
+        if channel is None:
+            return []
+        if channel.num_qubits == 1:
+            return [(channel, (q,)) for q in op.qubits]
+        if channel.num_qubits == op.num_qubits:
+            return [(channel, op.qubits)]
+        raise ValueError(
+            f"channel '{channel.name}' arity does not match op '{name}'"
+        )
 
     @staticmethod
     def uniform_depolarizing(p1: float, p2: float) -> "NoiseModel":

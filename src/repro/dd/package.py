@@ -41,8 +41,9 @@ a :class:`~repro.resources.ResourceBudget` memory cap into a node cap.
 class DDPackage:
     """Shared tables and algorithms for vector and matrix decision diagrams.
 
-    Operation caches (``add``, ``mv``, ``mm``, ``ct``, ``ip``) are bounded
-    at ``max_cache_entries`` each; a cache that overflows is cleared
+    Operation caches (``add``, ``mv``, ``mm``, ``ct``, ``ip``, and the
+    ``gate`` memo of :meth:`gate_edge`) are bounded at
+    ``max_cache_entries`` each; a cache that overflows is cleared
     wholesale (the cheap policy used by real DD packages — entries are
     re-derivable).  Hit/miss/clear counters are exposed via
     :meth:`cache_stats` so benchmarks can report cache effectiveness.
@@ -75,9 +76,10 @@ class DDPackage:
         self._mm_cache: Dict[Tuple, Edge] = {}
         self._ct_cache: Dict[int, Edge] = {}
         self._ip_cache: Dict[Tuple[int, int], complex] = {}
+        self._gate_cache: Dict[Tuple, Edge] = {}
         self._cache_counters: Dict[str, Dict[str, int]] = {
             name: {"hits": 0, "misses": 0, "clears": 0}
-            for name in ("add", "mv", "mm", "ct", "ip")
+            for name in ("add", "mv", "mm", "ct", "ip", "gate")
         }
 
     # -- statistics ----------------------------------------------------------
@@ -112,6 +114,7 @@ class DDPackage:
             "mm": len(self._mm_cache),
             "ct": len(self._ct_cache),
             "ip": len(self._ip_cache),
+            "gate": len(self._gate_cache),
         }
         return {
             name: {"entries": sizes[name], **counters}
@@ -125,6 +128,7 @@ class DDPackage:
         self._mm_cache.clear()
         self._ct_cache.clear()
         self._ip_cache.clear()
+        self._gate_cache.clear()
 
     def reset(self) -> None:
         """Drop every table; invalidates all previously created diagrams."""
@@ -257,15 +261,34 @@ class DDPackage:
         """Matrix DD of an operation embedded into ``num_qubits`` qubits.
 
         Handles arbitrary targets and positive controls; size is linear in
-        the qubit count (times the local gate dimension).
+        the qubit count (times the local gate dimension).  Memoized on
+        ``(matrix bytes, targets, controls, num_qubits)``: a rebuild looks
+        up the same unique-table nodes and complex-table weights, so a hit
+        returns the edge a rebuild would.
         """
         matrix = op.gate.matrix
-        if op.gate.num_qubits == 0:
+        key = (matrix.tobytes(), op.targets, op.controls, num_qubits)
+        edge = self._gate_cache.get(key)
+        self._count("gate", edge is not None)
+        if edge is None:
+            edge = self._build_gate_edge(
+                matrix, op.targets, op.controls, num_qubits
+            )
+            self._cache_put("gate", self._gate_cache, key, edge)
+        return edge
+
+    def _build_gate_edge(
+        self,
+        matrix: np.ndarray,
+        targets: Sequence[int],
+        controls: Sequence[int],
+        num_qubits: int,
+    ) -> Edge:
+        if not targets:
             # Global phase (possibly controlled).
-            return self._phase_edge(complex(matrix[0, 0]), op.controls, num_qubits)
-        targets = list(op.targets)
+            return self._phase_edge(complex(matrix[0, 0]), controls, num_qubits)
         target_pos = {q: i for i, q in enumerate(targets)}
-        controls = frozenset(op.controls)
+        control_set = frozenset(controls)
         none_bits: Tuple = tuple(None for _ in targets)
         memo: Dict[Tuple, Edge] = {}
 
@@ -296,7 +319,7 @@ class DDPackage:
                         )
                         quadrants.append(rec(level - 1, False, assigned))
                 result = self.make_node(level, tuple(quadrants))
-            elif level in controls:
+            elif level in control_set:
                 # control = 0 branch is the identity — unless an already
                 # assigned target sits off-diagonal, which kills the branch.
                 diagonal_ok = all(rc is None or rc[0] == rc[1] for rc in tbits)

@@ -1,12 +1,46 @@
 """Tests for noise-aware decision-diagram simulation (paper ref. [13])."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.arrays import DensityMatrixSimulator, NoiseModel, bit_flip
-from repro.circuits import library
+from repro.arrays import (
+    DensityMatrixSimulator,
+    NoiseModel,
+    amplitude_damping,
+    bit_flip,
+    depolarizing,
+    phase_damping,
+    two_qubit_depolarizing,
+)
+from repro.circuits import library, random_circuits
 from repro.circuits.circuit import QuantumCircuit
-from repro.dd import NoisyDDSimulator
+from repro.dd import DDPackage, NoisyDDSimulator, noise_sim
+
+# One noise model per way a branch is drawn: mixed-unitary channels draw
+# from constant weights, the damping channels weigh every Kraus branch.
+NOISE_MODELS = {
+    "depolarizing+amplitude_damping": lambda: NoiseModel(
+        default_1q=depolarizing(0.03), default_2q=amplitude_damping(0.12)
+    ),
+    "uniform_depolarizing": lambda: NoiseModel.uniform_depolarizing(0.02, 0.05),
+    "phase_damping+bit_flip": lambda: NoiseModel(
+        default_1q=phase_damping(0.1), default_2q=bit_flip(0.05)
+    ),
+    "depolarizing+two_qubit_depolarizing": lambda: NoiseModel(
+        default_1q=depolarizing(0.03), default_2q=two_qubit_depolarizing(0.06)
+    ),
+}
+PINNED_CIRCUITS = {
+    "brickwork4": lambda: random_circuits.brickwork_circuit(4, 3, seed=11),
+    "brickwork5": lambda: random_circuits.brickwork_circuit(5, 3, seed=12),
+    "ghz6": lambda: library.ghz_state(6),
+}
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "noisy_dd_pinned.json").read_text()
+)
 
 
 def test_noiseless_dd_trajectories_exact():
@@ -17,12 +51,61 @@ def test_noiseless_dd_trajectories_exact():
     assert np.allclose(result.probabilities(), expected, atol=1e-10)
 
 
-def test_dd_trajectories_match_density_matrix():
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+def test_dd_trajectories_match_density_matrix(model):
     circuit = library.ghz_state(3)
-    noise = NoiseModel.uniform_depolarizing(0.02, 0.05)
+    noise = NOISE_MODELS[model]()
     dm = DensityMatrixSimulator(noise).run(circuit).probabilities()
     dd = NoisyDDSimulator(noise, seed=5).run(circuit, trajectories=700)
     assert np.allclose(dd.probabilities(), dm, atol=0.06)
+
+
+@pytest.mark.parametrize("circuit", sorted(PINNED_CIRCUITS))
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+def test_seeded_outputs_match_per_trajectory_packages(model, circuit):
+    """Seeded outputs equal those of the engine that built a fresh package
+    and fresh gate DDs per trajectory and weighed every Kraus branch.
+
+    ``tests/data/noisy_dd_pinned.json`` holds that engine's outputs for
+    exactly these calls.  Sharing a package and drawing mixed-unitary
+    branches from constant weights only move the last bits of the
+    probabilities; every branch choice, node count and sampled outcome
+    is the same.
+    """
+    pinned = PINNED[f"{model}/{circuit}"]
+    qc = PINNED_CIRCUITS[circuit]()
+    result = NoisyDDSimulator(NOISE_MODELS[model](), seed=7).run(qc, trajectories=16)
+    np.testing.assert_allclose(result.probs, pinned["probs"], rtol=0, atol=1e-12)
+    assert result.mean_nodes == pinned["mean_nodes"]
+    assert result.peak_nodes == pinned["peak_nodes"]
+    counts = NoisyDDSimulator(NOISE_MODELS[model](), seed=9).run_sampling(qc, shots=24)
+    assert counts == pinned["counts"]
+
+
+def test_node_cap_starts_fresh_packages(monkeypatch):
+    """Past the node cap a chunk's next trajectory gets a fresh package;
+    results still agree with the density matrix."""
+    created = []
+
+    class CountingPackage(DDPackage):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(noise_sim, "DDPackage", CountingPackage)
+    circuit = library.ghz_state(3)
+    noise = NoiseModel.uniform_depolarizing(0.02, 0.05)
+    shared = NoisyDDSimulator(noise, seed=5).run(circuit, trajectories=700)
+    assert len(created) == shared.metadata["chunks"] == 8
+
+    created.clear()
+    monkeypatch.setattr(noise_sim, "PACKAGE_NODE_CAP", 2)
+    fresh = NoisyDDSimulator(noise, seed=5).run(circuit, trajectories=700)
+    assert len(created) == 700
+    dm = DensityMatrixSimulator(noise).run(circuit).probabilities()
+    assert np.allclose(fresh.probabilities(), dm, atol=0.06)
+    np.testing.assert_allclose(fresh.probs, shared.probs, rtol=0, atol=1e-12)
+    assert (fresh.mean_nodes, fresh.peak_nodes) == (shared.mean_nodes, shared.peak_nodes)
 
 
 def test_dd_trajectories_stay_compact_under_noise():
@@ -53,10 +136,13 @@ def test_bit_flip_statistics_on_dd():
 
 
 def test_channel_arity_mismatch_rejected():
-    from repro.arrays import two_qubit_depolarizing
-
     noise = NoiseModel(gate_errors={"ccx": two_qubit_depolarizing(0.1)})
     qc = QuantumCircuit(3)
     qc.ccx(0, 1, 2)
     with pytest.raises(ValueError):
         NoisyDDSimulator(noise).run(qc, trajectories=1)
+    # The noise is analysed before any trajectory runs.
+    with pytest.raises(ValueError):
+        NoisyDDSimulator(noise).run(qc, trajectories=0)
+    with pytest.raises(ValueError):
+        NoisyDDSimulator(noise).run_sampling(qc, shots=0)

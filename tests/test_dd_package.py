@@ -1,14 +1,17 @@
 """Unit tests for the decision-diagram package core."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.arrays import operation_unitary
 from repro.circuits import gates as g
-from repro.circuits import library
+from repro.circuits import library, random_circuits
 from repro.circuits.circuit import Operation
-from repro.dd import DDPackage
+from repro.dd import DDPackage, DDSimulator, MatrixDD
 from repro.dd.complex_table import ComplexTable
+from repro.verify.dd_check import peak_nodes_alternating
 from tests.conftest import random_state, random_unitary
 
 
@@ -280,7 +283,7 @@ def test_cache_stats_counts_hits_and_misses():
     circuit = library.ghz_state(6)
     DDSimulator(package=pkg).simulate_state(circuit)
     stats = pkg.cache_stats()
-    assert set(stats) == {"add", "mv", "mm", "ct", "ip"}
+    assert set(stats) == {"add", "mv", "mm", "ct", "ip", "gate"}
     for counters in stats.values():
         assert {"entries", "hits", "misses", "clears"} <= set(counters)
     assert stats["mv"]["misses"] > 0
@@ -318,3 +321,79 @@ def test_cache_stats_reset():
 def test_max_cache_entries_validation():
     with pytest.raises(ValueError):
         DDPackage(max_cache_entries=0)
+
+
+# -- gate-DD memo -------------------------------------------------------------
+
+
+def test_gate_edge_memo_returns_identical_edge(pkg):
+    first = pkg.gate_edge(Operation(g.rz(0.3), [1], [2]), 4)
+    again = pkg.gate_edge(Operation(g.rz(0.3), [1], [2]), 4)
+    assert again is first
+    stats = pkg.cache_stats()["gate"]
+    assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
+    # Targets, controls and the register size are part of the key.
+    assert pkg.gate_edge(Operation(g.rz(0.3), [2], [1]), 4).node is not first.node
+    assert pkg.gate_edge(Operation(g.rz(0.3), [1], [2]), 5).node is not first.node
+    assert pkg.cache_stats()["gate"]["entries"] == 3
+
+
+def test_gate_memo_emptied_by_clear_caches_and_reset(pkg):
+    op = Operation(g.H, [0], [2])
+    first = pkg.gate_edge(op, 3)
+    pkg.clear_caches()
+    assert pkg.cache_stats()["gate"]["entries"] == 0
+    # A rebuild interns the same node with the same canonical weight.
+    assert pkg.gate_edge(op, 3) == first
+    pkg.reset()
+    assert pkg.cache_stats()["gate"] == {
+        "entries": 0, "hits": 0, "misses": 0, "clears": 0
+    }
+    rebuilt = pkg.gate_edge(op, 3)
+    np.testing.assert_array_equal(pkg.to_matrix(rebuilt, 3), operation_unitary(op, 3))
+
+
+def test_gate_memo_bounded_by_max_cache_entries():
+    pkg = DDPackage(max_cache_entries=4)
+    for k in range(20):
+        pkg.gate_edge(Operation(g.rz(0.1 * k), [k % 3]), 3)
+        assert pkg.cache_stats()["gate"]["entries"] <= 4
+    assert pkg.cache_stats()["gate"]["clears"] > 0
+
+
+PINNED_DD_CIRCUITS = {
+    "adder": lambda: library.cuccaro_adder(2),
+    "brickwork6": lambda: random_circuits.brickwork_circuit(6, 4, seed=3),
+    "clifford_t8": lambda: random_circuits.random_clifford_t_circuit(
+        8, 64, seed=4, t_prob=0.1
+    ),
+    "ghz8": lambda: library.ghz_state(8),
+    "grover4": lambda: library.grover(4, 5),
+    "qft6": lambda: library.qft(6),
+    "random5": lambda: random_circuits.random_circuit(5, 10, seed=5),
+}
+# sha256 prefixes of the simulated state and the circuit's matrix DD, and
+# the peak of an alternating check against itself, all computed before
+# gate DDs were memoized.
+PINNED_DD_RESULTS = {
+    "adder": ("91170c9662528fd3", "6460477ae96f3cf3", 10),
+    "brickwork6": ("9e46f014ab090624", "4e5ff2c572e787a2", 7),
+    "clifford_t8": ("910d888ed4a1e774", "f6b3fc1a526fab7e", 15),
+    "ghz8": ("fd431e8530c02aaf", "e7a9ce8dc7d1b533", 9),
+    "grover4": ("5066f7538b2d2492", "45c9fb01f58e7497", 7),
+    "qft6": ("dca70eaf161f0bf0", "9c81daa9a7660d17", 21),
+    "random5": ("40cc9566f1ab4e65", "c2f611be7333f282", 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DD_RESULTS))
+def test_dd_results_bitwise_unchanged_by_gate_memo(name):
+    def digest(array):
+        return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+    circuit = PINNED_DD_CIRCUITS[name]().without_measurements()
+    state = DDSimulator().simulate_state(circuit).to_statevector()
+    matrix = MatrixDD.from_circuit(circuit).to_matrix()
+    verdict, peak = peak_nodes_alternating(circuit, circuit.copy())
+    assert verdict
+    assert (digest(state), digest(matrix), peak) == PINNED_DD_RESULTS[name]

@@ -49,6 +49,60 @@ def test_channels_are_trace_preserving():
         assert np.allclose(total, np.eye(dim), atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "channel, weights",
+    [
+        (depolarizing(0.2), [0.85, 0.05, 0.05, 0.05]),
+        (bit_flip(0.1), [0.9, 0.1]),
+        (phase_flip(0.3), [0.7, 0.3]),
+        (two_qubit_depolarizing(0.16), [0.85] + [0.01] * 15),
+    ],
+    ids=["depolarizing", "bit_flip", "phase_flip", "two_qubit_depolarizing"],
+)
+def test_mixed_unitary_channels_detected(channel, weights):
+    assert channel.mixed_unitary
+    np.testing.assert_allclose(channel.constant_weights, weights, rtol=0, atol=1e-12)
+    assert channel.identity_branches == {0}
+    dim = 2**channel.num_qubits
+    for kraus, weight, unitary in zip(
+        channel.operators, channel.constant_weights, channel.unitaries
+    ):
+        assert np.allclose(unitary.conj().T @ unitary, np.eye(dim), atol=1e-12)
+        assert np.allclose(np.sqrt(weight) * unitary, kraus, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [amplitude_damping(0.3), phase_damping(0.2)],
+    ids=["amplitude_damping", "phase_damping"],
+)
+def test_damping_channels_are_not_mixed_unitary(channel):
+    assert not channel.mixed_unitary
+    assert channel.constant_weights == ()
+    assert channel.unitaries == ()
+    assert channel.identity_branches == frozenset()
+
+
+def test_noise_locations_per_operation():
+    flip = bit_flip(0.2)
+    pair = two_qubit_depolarizing(0.1)
+    noise = NoiseModel(gate_errors={"ccx": flip}, default_1q=flip, default_2q=pair)
+    qc = QuantumCircuit(3)
+    qc.h(2)
+    qc.cx(0, 1)
+    qc.ccx(0, 1, 2)
+    qc.swap(0, 2)
+    h, cx, ccx, swap = qc.operations
+    assert noise.locations(h) == [(flip, (2,))]
+    assert noise.locations(cx) == [(pair, (1, 0))]
+    # One-qubit channels strike targets first, then controls.
+    assert noise.locations(ccx) == [(flip, (2,)), (flip, (0,)), (flip, (1,))]
+    assert noise.locations(swap) == [(pair, (0, 2))]
+    assert NoiseModel(default_2q=pair).locations(h) == []
+    with pytest.raises(ValueError, match="arity"):
+        NoiseModel(default_2q=pair).locations(ccx)
+
+
 def test_invalid_channel_rejected():
     with pytest.raises(ValueError):
         KrausChannel("broken", [np.eye(2) * 0.5])

@@ -1,15 +1,25 @@
 """Tests for classically-controlled (feed-forward) operations."""
 
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.arrays import StatevectorSimulator, circuit_unitary, zero_state
+from repro.arrays import (
+    DensityMatrixSimulator,
+    NoiseModel,
+    StatevectorSimulator,
+    TrajectorySimulator,
+    bit_flip,
+    circuit_unitary,
+    zero_state,
+)
 from repro.arrays.statevector import apply_operation
 from repro.circuits import gates as g
 from repro.circuits import library
 from repro.circuits.circuit import Operation, QuantumCircuit
-from repro.dd import DDSimulator
+from repro.dd import DDSimulator, NoisyDDSimulator
 from repro.tn import MPSSimulator
 
 
@@ -112,3 +122,79 @@ def test_condition_survives_remap_and_inverse():
     assert moved.inverse().condition == (2, 1)
     assert op != Operation(g.X, [0])
     assert "if c2==1" in repr(op)
+
+
+# -- trajectory engines and the density simulator ------------------------------
+
+TRAJECTORY_ENGINES = {"arrays": TrajectorySimulator, "dd": NoisyDDSimulator}
+
+
+def _exact_teleportation_distribution(noise):
+    """Exact output distribution of ``library.teleportation()`` under noise.
+
+    Sums the four Bell-measurement branches: each projects the density
+    matrix onto its outcome and runs, on that unnormalized branch, the
+    corrections whose bit matches, each followed by its noise.  Every step
+    is linear, so the branches add up to the exact mixture.
+    """
+    circuit = library.teleportation()
+    split = next(i for i, op in enumerate(circuit.operations) if op.is_measurement)
+    prefix = QuantumCircuit(3)
+    for op in circuit.operations[:split]:
+        prefix.append(op)
+    rho = DensityMatrixSimulator(noise).run(prefix).rho
+    corrections = [op for op in circuit.operations[split:] if op.condition is not None]
+    total = np.zeros(8)
+    for m0 in (0, 1):
+        for m1 in (0, 1):
+            keep = np.array([(i & 1) == m0 and (i >> 1) & 1 == m1 for i in range(8)])
+            branch = rho * np.outer(keep, keep)
+            bits = {0: m0, 1: m1}
+            fired = QuantumCircuit(3)
+            for op in corrections:
+                clbit, value = op.condition
+                if bits[clbit] == value:
+                    fired.append(Operation(op.gate, op.targets, op.controls))
+            total += DensityMatrixSimulator(noise).run(fired, branch).probabilities()
+    return total
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "bit_flip"])
+@pytest.mark.parametrize("engine", sorted(TRAJECTORY_ENGINES))
+def test_teleportation_trajectories_match_exact_distribution(engine, noisy):
+    """Both trajectory engines honour the feed-forward corrections.
+
+    Each outcome's estimate is a mean of per-trajectory probabilities in
+    [0, 1], so its standard error is at most sqrt(p (1 - p) / N); the bound
+    is five of those plus 1/N.  Without the corrections, P(q2 = 1) would
+    read about 0.5 instead of sin^2(0.3) = 0.087.
+    """
+    noise = NoiseModel(default_1q=bit_flip(0.05), default_2q=bit_flip(0.05)) if noisy else None
+    exact = _exact_teleportation_distribution(noise)
+    trajectories = 2000
+    bound = 5 * np.sqrt(exact * (1 - exact) / trajectories) + 1 / trajectories
+    simulator = TRAJECTORY_ENGINES[engine](noise, seed=3)
+    probs = simulator.run(library.teleportation(), trajectories).probabilities()
+    assert np.all(np.abs(probs - exact) <= bound)
+    if not noisy:
+        # Every noiseless trajectory ends with qubit 2 in the sent state.
+        assert probs[4:].sum() == pytest.approx(math.sin(0.3) ** 2, abs=1e-9)
+
+
+@pytest.mark.parametrize("engine", sorted(TRAJECTORY_ENGINES))
+def test_conditioned_op_carries_its_noise_only_when_it_fires(engine):
+    """Deterministic: only the identity that fires brings its certain flip."""
+    qc = QuantumCircuit(4)
+    qc.ry(math.pi, 0)
+    qc.measure(0, 0)  # always 1
+    qc.conditional(g.I, [1], clbit=0, value=1)  # fires: its noise flips q1
+    qc.conditional(g.I, [2], clbit=0, value=0)  # skipped, and so is its noise
+    qc.conditional(g.I, [3], clbit=5, value=1)  # unmeasured bit reads 0
+    noise = NoiseModel(gate_errors={"id": bit_flip(1.0)})
+    probs = TRAJECTORY_ENGINES[engine](noise, seed=1).run(qc, 16).probabilities()
+    assert probs[0b0011] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_density_simulator_refuses_feedforward():
+    with pytest.raises(ValueError, match="non-selective"):
+        DensityMatrixSimulator().run(library.teleportation())
